@@ -53,7 +53,7 @@ def _write_atomic(path: Path, content: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as handle:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(content)
         os.replace(tmp, path)
     except BaseException:
@@ -80,7 +80,7 @@ def _load_graph(args: argparse.Namespace):
     path = Path(args.input)
     if not path.exists():
         raise CliError(f"input file not found: {path}")
-    with path.open() as handle:
+    with path.open(encoding="utf-8") as handle:
         contacts, skipped = parse_contact_lines(handle, strict=args.strict)
     if skipped:
         _log(f"skipped {skipped} malformed contact line(s)")
@@ -149,7 +149,7 @@ def _read_core_file(path_text: str):
     if not path.exists():
         raise CliError(f"core file not found: {path}")
     fmt = "jsonl" if path.suffix == ".jsonl" else "csv"
-    with path.open() as handle:
+    with path.open(encoding="utf-8") as handle:
         return read_cores(handle, fmt)
 
 
@@ -180,7 +180,7 @@ def cmd_purity(args) -> int:
     attrs_path = Path(args.attributes)
     if not attrs_path.exists():
         raise CliError(f"attribute file not found: {attrs_path}")
-    with attrs_path.open() as handle:
+    with attrs_path.open(encoding="utf-8") as handle:
         table = AttributeTable.from_csv(handle)
     curve = purity_curve(result, table, args.attribute)
     if curve.skipped_vertices:
@@ -222,7 +222,7 @@ def cmd_anomaly(args) -> int:
         positives_path = Path(args.positives)
         if not positives_path.exists():
             raise CliError(f"positive-timestamp file not found: {positives_path}")
-        with positives_path.open() as handle:
+        with positives_path.open(encoding="utf-8") as handle:
             positives = [int(line.strip()) for line in handle if line.strip()]
         precision, recall = precision_recall(graph, report, positives)
         payload["precision"] = precision

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .core_kernel import innermost_core
 from .span_cores import DecompositionResult, RunMetrics, SpanCore, span_cores
-from .temporal_graph import Interval, TemporalGraph, edge_diff_sets
+from .temporal_graph import Edge, Interval, TemporalGraph, edge_diff_sets
 
 
 def dominates(first: SpanCore, second: SpanCore) -> bool:
@@ -90,17 +90,27 @@ class _DegreeBuckets:
 
     __slots__ = ("degree", "buckets")
 
-    def __init__(self):
-        self.degree: dict[int, int] = {}
+    def __init__(self, vertex_count: int):
+        self.degree = [0] * vertex_count
         self.buckets: list[list[int]] = []
 
-    def add_edge(self, u: int, v: int) -> None:
-        for vertex in (u, v):
-            d = self.degree.get(vertex, 0)
-            if d == len(self.buckets):
-                self.buckets.append([])
-            self.buckets[d].append(vertex)
-            self.degree[vertex] = d + 1
+    def add_edges(self, edges: Iterable[Edge]) -> None:
+        degree = self.degree
+        buckets = self.buckets
+        for u, v in edges:
+            # A missing bucket means the vertex reached a new maximum degree.
+            d = degree[u]
+            degree[u] = d + 1
+            try:
+                buckets[d].append(u)
+            except IndexError:
+                buckets.append([u])
+            d = degree[v]
+            degree[v] = d + 1
+            try:
+                buckets[d].append(v)
+            except IndexError:
+                buckets.append([v])
 
     def above(self, threshold: int) -> list[int]:
         if threshold >= len(self.buckets):
@@ -133,19 +143,22 @@ def maximal_span_cores(g: TemporalGraph, trace: MaximalTrace | None = None) -> D
         edges = set(g.edges_at(t_s))
         for dropped in removed:
             edges -= dropped  # edges of [t_s, t_star]
-        buckets = _DegreeBuckets()
+        buckets = _DegreeBuckets(g.vertex_count)
         k_trim = 0  # innermost order seen for [t_s, t_e + 1]
         for t_e in range(t_star, t_s - 1, -1):
             arriving = edges if t_e == t_star else removed[t_e - t_s]
             if t_e != t_star:
                 edges |= arriving
-            for u, v in arriving:
-                buckets.add_edge(u, v)
+            buckets.add_edges(arriving)
             bound = max(k_prime[t_e], k_trim)
             candidates = buckets.above(bound)
             if candidates:
-                degree = buckets.degree
-                subgraph = [e for e in edges if degree[e[0]] > bound and degree[e[1]] > bound]
+                if bound:
+                    degree = buckets.degree
+                    subgraph = [e for e in edges
+                                if degree[e[0]] > bound and degree[e[1]] > bound]
+                else:
+                    subgraph = edges  # every endpoint has degree >= 1
                 order, members = innermost_core(candidates, subgraph)
                 metrics.processed_vertices += len(candidates)
             else:

@@ -12,10 +12,9 @@ import json
 from typing import Iterable, Sequence, TextIO
 
 from .span_cores import DecompositionResult, RunMetrics, SpanCore
-from .temporal_graph import Interval
+from .temporal_graph import MEMBER_SEPARATOR, Interval
 
 CORE_CSV_HEADER = ["k", "t_s", "t_e", "size", "members"]
-MEMBER_SEPARATOR = ";"
 
 
 def _ordered_cores(result: DecompositionResult) -> list[SpanCore]:
@@ -94,13 +93,30 @@ def read_cores_csv(stream: TextIO) -> DecompositionResult:
 
 def read_cores_jsonl(stream: TextIO) -> DecompositionResult:
     rows = []
-    for line in stream:
+    for line_number, line in enumerate(stream, start=1):
         line = line.strip()
         if not line:
             continue
-        record = json.loads(line)
-        rows.append((record["k"], record["t_s"], record["t_e"], list(record["members"])))
+        try:
+            rows.append(_jsonl_row(json.loads(line)))
+        except ValueError as error:
+            raise ValueError(f"core file line {line_number}: {error}") from None
     return _result_from_rows(rows)
+
+
+def _jsonl_row(record) -> tuple[int, int, int, list[str]]:
+    if not isinstance(record, dict):
+        raise ValueError(f"expected a JSON object, got {type(record).__name__}")
+    missing = [key for key in ("k", "t_s", "t_e", "members") if key not in record]
+    if missing:
+        raise ValueError(f"missing key(s) {', '.join(missing)}")
+    numbers = [record[key] for key in ("k", "t_s", "t_e")]
+    if not all(type(n) is int for n in numbers):
+        raise ValueError("k, t_s and t_e must be integers")
+    members = record["members"]
+    if not isinstance(members, list) or not all(isinstance(m, str) for m in members):
+        raise ValueError("members must be a list of labels")
+    return (*numbers, members)
 
 
 def read_cores(stream: TextIO, fmt: str) -> DecompositionResult:

@@ -8,11 +8,18 @@ alongside so inputs and outputs can speak the caller's vocabulary.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 Edge = tuple[int, int]
 Contact = tuple[str, str, int]
+
+# Joins the member labels of a core in CSV core files.
+MEMBER_SEPARATOR = ";"
+# No vertex label may hold these: the member separator, and line breaks,
+# which would split a contact line or an unquoted CSV record.
+_LABEL_FORBIDDEN = (MEMBER_SEPARATOR, "\n", "\r")
 
 
 class ContactParseError(ValueError):
@@ -97,6 +104,21 @@ class TemporalGraph:
             canon.append(frozenset(seen))
         self._edges = tuple(canon)
 
+    @classmethod
+    def _from_canonical(cls, ids: dict[str, int],
+                        edges: tuple[frozenset[Edge], ...]) -> "TemporalGraph":
+        """Build without the checks of __init__, for callers that already did them.
+
+        `ids` maps each label to its id in insertion order, and every edge is
+        an ordered (low, high) pair of known, distinct ids. Only
+        ingest_contacts calls this.
+        """
+        g = cls.__new__(cls)
+        g._labels = tuple(ids)
+        g._ids = ids
+        g._edges = edges
+        return g
+
     @property
     def vertex_count(self) -> int:
         return len(self._labels)
@@ -143,31 +165,36 @@ def parse_contact_lines(lines: Iterable[str], strict: bool = True) -> tuple[list
     counted (second return value) otherwise.
     """
     contacts: list[Contact] = []
+    append = contacts.append
     skipped = 0
     for line_number, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = [p.strip() for p in (line.split(",") if "," in line else line.split())]
-        reason = None
-        if len(parts) != 3:
-            reason = "expected three fields"
-        elif not parts[0] or not parts[1]:
-            reason = "empty vertex label"
+        if "," in raw:
+            parts = [p.strip() for p in raw.split(",")]
         else:
-            try:
-                raw_time = int(parts[2])
-            except ValueError:
-                reason = "time is not an integer"
-            else:
-                if raw_time < 0:
-                    reason = "negative time"
-        if reason is not None:
-            if strict:
-                raise ContactParseError(line_number, line, reason)
-            skipped += 1
+            parts = raw.split()  # also strips, and is empty for a blank line
+            if not parts:
+                continue
+        if parts[0].startswith("#"):
             continue
-        contacts.append((parts[0], parts[1], raw_time))
+        if len(parts) == 3:
+            u, v, t = parts
+            if u and v:
+                try:
+                    raw_time = int(t)
+                except ValueError:
+                    reason = "time is not an integer"
+                else:
+                    if raw_time >= 0:
+                        append((u, v, raw_time))
+                        continue
+                    reason = "negative time"
+            else:
+                reason = "empty vertex label"
+        else:
+            reason = "expected three fields"
+        if strict:
+            raise ContactParseError(line_number, raw.strip(), reason)
+        skipped += 1
     return contacts, skipped
 
 
@@ -180,40 +207,53 @@ def ingest_contacts(contacts: Iterable[Contact], window: int = 1,
     pre-discretized timestamps pass through verbatim. Duplicate contacts in a
     window collapse, self-loops are dropped (their labels and timestamps
     still count), and empty windows are kept so the time domain stays
-    contiguous.
+    contiguous. A label may hold neither MEMBER_SEPARATOR nor a line break,
+    so every core file written from the graph reads back.
     """
     contacts = list(contacts)
     if not contacts:
         raise ValueError("no contacts")
     if window < 1:
         raise ValueError(f"window must be a positive integer, got {window}")
-    if origin is None:
-        origin = min(t for _, _, t in contacts)
     ids: dict[str, int] = {}
-    labels: list[str] = []
-
-    def intern(label: str) -> int:
-        vid = ids.get(label)
-        if vid is None:
-            vid = len(labels)
-            ids[label] = vid
-            labels.append(label)
-        return vid
-
-    staged: dict[int, set[Edge]] = {}
-    t_max = 0
+    get = ids.get
+    staged: defaultdict[int, set[Edge]] = defaultdict(set)  # raw time -> edges
     for label_u, label_v, raw_time in contacts:
-        if raw_time < origin:
-            raise ValueError(f"contact time {raw_time} precedes origin {origin}")
+        u = get(label_u)
+        if u is None:
+            u = ids[label_u] = len(ids)
+        v = get(label_v)
+        if v is None:
+            v = ids[label_v] = len(ids)
+        edges = staged[raw_time]  # a self-loop still counts its timestamp
+        if u < v:
+            edges.add((u, v))
+        elif v < u:
+            edges.add((v, u))
+    earliest = min(staged)
+    if origin is None:
+        origin = earliest
+    elif earliest < origin:
+        first = next(t for _, _, t in contacts if t < origin)
+        raise ValueError(f"contact time {first} precedes origin {origin}")
+    for label in ids:
+        for char in _LABEL_FORBIDDEN:
+            if char in label:
+                raise ValueError(f"vertex label {label!r} contains {char!r}, "
+                                 "which core files and contact lines use as a separator")
+    windows: dict[int, set[Edge]] = {}
+    for raw_time, edges in staged.items():
         t = (raw_time - origin) // window
-        u = intern(label_u)
-        v = intern(label_v)
-        t_max = max(t_max, t)
-        if u == v:
-            continue
-        staged.setdefault(t, set()).add((u, v) if u < v else (v, u))
-    empty: set[Edge] = set()
-    return TemporalGraph(labels, [staged.get(t, empty) for t in range(t_max + 1)])
+        if t in windows:
+            windows[t] |= edges
+        else:
+            windows[t] = edges
+    # Every empty timestamp shares the one empty set.
+    by_time: list[frozenset[Edge]] = [frozenset()] * ((max(staged) - origin) // window + 1)
+    for t, edges in windows.items():
+        if edges:
+            by_time[t] = frozenset(edges)
+    return TemporalGraph._from_canonical(ids, tuple(by_time))
 
 
 def edges_in_interval(g: TemporalGraph, interval: Interval) -> frozenset[Edge]:

@@ -3,7 +3,8 @@ definition-level oracles the engines are checked against.
 
 The oracles deliberately avoid the production kernels: k-cores come from
 fixed-point deletion and maximality from a pairwise dominance scan, so an
-engine bug cannot hide in a shared helper.
+engine bug cannot hide in a shared helper. The reference parser and ingest
+are the straightforward versions the optimized ones must stay equal to.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from collections import Counter
 
 import pytest
 
-from spancores import TemporalGraph
+from spancores import ContactParseError, TemporalGraph
 
 OracleCore = tuple[int, tuple[int, int], frozenset[int]]
 
@@ -173,3 +174,71 @@ def oracle_maximal(full: set[OracleCore]) -> set[OracleCore]:
 def as_triples(result) -> set[OracleCore]:
     """Engine output in the oracle's comparable shape."""
     return {(c.order, (c.span.start, c.span.end), c.members) for c in result.cores}
+
+
+def reference_parse_contact_lines(lines, strict: bool = True):
+    """Line parser the optimized parse_contact_lines must agree with."""
+    contacts = []
+    skipped = 0
+    for line_number, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = [p.strip() for p in (line.split(",") if "," in line else line.split())]
+        reason = None
+        if len(parts) != 3:
+            reason = "expected three fields"
+        elif not parts[0] or not parts[1]:
+            reason = "empty vertex label"
+        else:
+            try:
+                raw_time = int(parts[2])
+            except ValueError:
+                reason = "time is not an integer"
+            else:
+                if raw_time < 0:
+                    reason = "negative time"
+        if reason is not None:
+            if strict:
+                raise ContactParseError(line_number, line, reason)
+            skipped += 1
+            continue
+        contacts.append((parts[0], parts[1], raw_time))
+    return contacts, skipped
+
+
+def reference_ingest_contacts(contacts, window: int = 1, origin: int | None = None) -> TemporalGraph:
+    """Ingest the optimized ingest_contacts must agree with: per-contact checks,
+    then the validating public constructor."""
+    contacts = list(contacts)
+    if not contacts:
+        raise ValueError("no contacts")
+    if window < 1:
+        raise ValueError(f"window must be a positive integer, got {window}")
+    if origin is None:
+        origin = min(t for _, _, t in contacts)
+    ids: dict[str, int] = {}
+    labels: list[str] = []
+
+    def intern(label: str) -> int:
+        vid = ids.get(label)
+        if vid is None:
+            vid = len(labels)
+            ids[label] = vid
+            labels.append(label)
+        return vid
+
+    staged: dict[int, set] = {}
+    t_max = 0
+    for label_u, label_v, raw_time in contacts:
+        if raw_time < origin:
+            raise ValueError(f"contact time {raw_time} precedes origin {origin}")
+        t = (raw_time - origin) // window
+        u = intern(label_u)
+        v = intern(label_v)
+        t_max = max(t_max, t)
+        if u == v:
+            continue
+        staged.setdefault(t, set()).add((u, v) if u < v else (v, u))
+    empty: set = set()
+    return TemporalGraph(labels, [staged.get(t, empty) for t in range(t_max + 1)])

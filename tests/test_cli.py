@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import spancores
 from spancores import canonical_dump, ingest_contacts, parse_contact_lines
 from spancores.cli import main
 from .conftest import planted_clique_graph, ratio_fixture_graph
@@ -239,6 +242,46 @@ class TestErrorsAndDeterminism:
         path = tmp_path / "bad.txt"
         path.write_text("a b 0\nbroken\n")
         assert run("decompose", "--input", path, "--out", tmp_path / "o") == 0
+
+    def test_label_holding_the_member_separator_is_rejected(self, tmp_path, capsys):
+        path = tmp_path / "semicolon.txt"
+        path.write_text("a;x b 0\nb c 0\nc a;x 0\n")
+        assert run("decompose", "--input", path, "--out", tmp_path / "o") == 2
+        error = capsys.readouterr().err.strip().splitlines()
+        assert error[-1].startswith("error: vertex label 'a;x'")
+        assert not (tmp_path / "o" / "cores.csv").exists()
+
+    @pytest.mark.parametrize("line, message", [
+        ('{"k": 1, "t_s": 0, "members": ["a", "b"]}', "line 2: missing key(s) t_e"),
+        ('[1, 0, 0, ["a", "b"]]', "line 2: expected a JSON object"),
+        ('{"k": "1", "t_s": 0, "t_e": 0, "members": ["a", "b"]}', "line 2: k, t_s and t_e"),
+        ('{"k": 1, "t_s": 0, "t_e": 0, "members": "ab"}', "line 2: members must be"),
+        ('{"k": 1,', "line 2: "),
+    ])
+    def test_malformed_jsonl_core_file_exits_2(self, tmp_path, capsys, line, message):
+        path = tmp_path / "cores.jsonl"
+        path.write_text('{"k": 1, "t_s": 0, "t_e": 0, "members": ["a", "b"]}\n' + line + "\n")
+        assert run("stats", "--cores", path, "--out", tmp_path / "o") == 2
+        error = capsys.readouterr().err.strip().splitlines()
+        assert len(error) == 1 and message in error[0]
+
+    def test_files_are_utf8_whatever_the_locale(self, tmp_path):
+        path = tmp_path / "accented.txt"
+        path.write_bytes("é b 0\nb c 0\nc é 0\n".encode("utf-8"))
+        src = str(Path(spancores.__file__).resolve().parents[1])
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env.pop("PYTHONIOENCODING", None)
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "spancores", "decompose", "--input", str(path),
+             "--out", str(out)],
+            capture_output=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (out / "cores.csv").read_bytes().splitlines()[1:] == [
+            "1,0,0,3,b;c;é".encode("utf-8"), "2,0,0,3,b;c;é".encode("utf-8"),
+        ]
 
     def test_rerun_is_byte_identical(self, contact_file, tmp_path):
         out = tmp_path / "artifacts"

@@ -2,14 +2,18 @@ from __future__ import annotations
 
 import io
 import json
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spancores import maximal_span_cores, naive_span_cores, span_cores
+from spancores import ingest_contacts, maximal_span_cores, naive_span_cores, span_cores
 from spancores.serialize import (
     cores_to_csv,
     cores_to_jsonl,
     metrics_to_json,
+    read_cores,
     read_cores_csv,
     read_cores_jsonl,
     table_to_csv,
@@ -71,6 +75,24 @@ class TestJsonl:
         result = naive_span_cores(g_ex)
         loaded = read_cores_jsonl(io.StringIO(cores_to_jsonl(result)))
         assert as_triples(loaded) == as_triples(result)
+
+
+def _labelled(result) -> set:
+    return {(c.order, c.span, frozenset(result.member_labels(c))) for c in result.cores}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.text(max_size=4), min_size=2, max_size=5, unique=True))
+def test_every_accepted_label_reads_back(labels):
+    contacts = [(a, b, t) for a, b in combinations(labels, 2) for t in (0, 1)]
+    try:
+        g = ingest_contacts(contacts)
+    except ValueError:
+        assert any(char in label for label in labels for char in ";\r\n")
+        return
+    result = span_cores(g)
+    for fmt, text in (("csv", cores_to_csv(result)), ("jsonl", cores_to_jsonl(result))):
+        assert _labelled(read_cores(io.StringIO(text), fmt)) == _labelled(result)
 
 
 class TestMetrics:

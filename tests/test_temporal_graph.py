@@ -18,7 +18,12 @@ from spancores import (
     parse_contact_lines,
     temporal_degree,
 )
-from .conftest import interval_edges, random_temporal_graph
+from .conftest import (
+    interval_edges,
+    random_temporal_graph,
+    reference_ingest_contacts,
+    reference_parse_contact_lines,
+)
 
 
 class TestInterval:
@@ -126,6 +131,12 @@ class TestIngest:
         assert canonical_dump(again) == canonical_dump(g)
 
 
+    @pytest.mark.parametrize("label", ["a;x", "a\nx", "x\r"])
+    def test_label_that_cannot_be_serialized_rejected(self, label):
+        with pytest.raises(ValueError, match="vertex label"):
+            ingest_contacts([("b", "c", 0), (label, "b", 1)])
+
+
 class TestParse:
     def test_whitespace_and_comma_forms(self):
         contacts, skipped = parse_contact_lines(["a b 1", "c,d,2", "  e\tf  3 "])
@@ -147,6 +158,68 @@ class TestParse:
         contacts, skipped = parse_contact_lines(lines, strict=False)
         assert len(contacts) == 2
         assert skipped == 3
+
+
+_LABELS = st.sampled_from(["a", "b", "é", "x;y", "", "#c", "c d"])
+_TIMES = st.integers(-2, 3).map(str)
+_FIELDS = st.one_of(_LABELS, _TIMES, st.sampled_from(["1.5", "t", "+2", " 7 ", "1_0", "٣"]))
+_SEPARATORS = st.sampled_from([" ", "\t", "  ", ",", " , ", ",\t"])
+
+
+@st.composite
+def _contact_lines(draw) -> str:
+    """One line of a contact file: well-formed, commented, blank or broken."""
+    fields = draw(st.one_of(st.tuples(_LABELS, _LABELS, _TIMES), st.lists(_FIELDS, max_size=4)))
+    line = draw(st.sampled_from(["", " ", "\t", "#", " # "]))
+    for i, field in enumerate(fields):
+        line += (draw(_SEPARATORS) if i else "") + field
+    return line + draw(st.sampled_from(["", "\n", " \n", "\t", "\r\n"]))
+
+
+def _parse_outcome(parse, lines, strict):
+    try:
+        return parse(lines, strict=strict)
+    except ContactParseError as error:
+        return error.line_number, error.reason, error.line, str(error)
+
+
+def _ingest_outcome(ingest, contacts, window, origin):
+    try:
+        g = ingest(contacts, window=window, origin=origin)
+    except ValueError as error:
+        return str(error)
+    return g.labels, canonical_dump(g)
+
+
+class TestReferenceEquivalence:
+    """The optimized parser and ingest agree with the reference versions in conftest."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_contact_lines(), max_size=10), st.booleans())
+    def test_parse_matches_reference(self, lines, strict):
+        assert (_parse_outcome(parse_contact_lines, lines, strict)
+                == _parse_outcome(reference_parse_contact_lines, lines, strict))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.sampled_from(["a", "b", "c", "é"]),
+                           st.sampled_from(["a", "b", "c", "é"]),
+                           st.integers(0, 30)), max_size=12),
+        st.integers(0, 5),
+        st.one_of(st.none(), st.integers(0, 12)),
+    )
+    def test_ingest_matches_reference(self, contacts, window, origin):
+        assert (_ingest_outcome(ingest_contacts, contacts, window, origin)
+                == _ingest_outcome(reference_ingest_contacts, contacts, window, origin))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_contact_lines(), max_size=10), st.integers(1, 4),
+           st.one_of(st.none(), st.integers(0, 12)))
+    def test_parsed_lines_ingest_like_reference(self, lines, window, origin):
+        contacts, _ = parse_contact_lines(lines, strict=False)
+        contacts = [c for c in contacts if ";" not in c[0] + c[1]]
+        assert (_ingest_outcome(ingest_contacts, contacts, window, origin)
+                == _ingest_outcome(reference_ingest_contacts, contacts, window, origin))
 
 
 class TestIntervalEdges:
