@@ -38,7 +38,6 @@ from .temporal_graph import (
     edges_in_interval,
     ingest_contacts,
     parse_contact_lines,
-    temporal_degree,
 )
 
 __version__ = "0.1.0"
@@ -77,5 +76,4 @@ __all__ = [
     "span_cores",
     "stats_by_order",
     "stats_by_span",
-    "temporal_degree",
 ]

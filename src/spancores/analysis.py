@@ -130,11 +130,14 @@ def reshuffle_timestamps(g: TemporalGraph, seed: int = 0) -> TemporalGraph:
     10 * |E_t| draws whatever is still pending stays as-is. Every vertex
     keeps its exact degree at every timestamp.
     """
-    shuffled = []
-    for t in range(g.t_max + 1):
-        rng = random.Random(seed * _SEED_MIX + t)
-        shuffled.append(_reshuffle_edges(g.edges_at(t), rng))
-    return TemporalGraph(g.labels, shuffled)
+    shuffled = {}
+    for t in g.nonempty_times:
+        edges = g.edges_at(t)
+        if len(edges) < 2:
+            shuffled[t] = edges  # nothing to swap, so no draw
+        else:
+            shuffled[t] = _reshuffle_edges(edges, random.Random(seed * _SEED_MIX + t))
+    return TemporalGraph.from_timestamps(g.labels, g.t_max, shuffled)
 
 
 def _reshuffle_edges(edges: frozenset[Edge], rng: random.Random) -> set[Edge]:
@@ -204,31 +207,33 @@ def detect_anomalies(g: TemporalGraph, maximal: DecompositionResult, tr: int,
         for t in interval.timestamps():
             anomalous_by_time[t].update(members)
 
-    removed_counts: dict[int, int] = {}
-    kept: list[set[Edge]] = []
-    for t in range(g.t_max + 1):
-        flagged = anomalous_by_time.get(t, ())
+    # Every timestamp gets a count, so the report reads the same however
+    # sparse the log is.
+    removed_counts = dict.fromkeys(range(g.t_max + 1), 0)
+    kept: dict[int, Iterable[Edge]] = {}
+    for t in g.nonempty_times:
         edges = g.edges_at(t)
-        surviving = {e for e in edges if e[0] not in flagged and e[1] not in flagged}
-        removed_counts[t] = len(edges) - len(surviving)
-        kept.append(surviving)
+        flagged = anomalous_by_time.get(t)
+        if flagged:
+            surviving = {e for e in edges if e[0] not in flagged and e[1] not in flagged}
+            removed_counts[t] = len(edges) - len(surviving)
+            kept[t] = surviving
+        else:
+            kept[t] = edges
 
     dropped: set[int] = set()
     if ratio is not None:
-        for t in range(g.t_max + 1):
-            original = len(g.edges_at(t))
-            if original == 0:
-                continue
-            if not kept[t] or original / len(kept[t]) > ratio:
+        for t in g.nonempty_times:
+            if not kept[t] or len(g.edges_at(t)) / len(kept[t]) > ratio:
                 dropped.add(t)
-                kept[t] = set()
+                kept[t] = ()
 
     return AnomalyReport(
         anomalous_intervals=intervals,
         anomalous_vertices_by_time={t: frozenset(vs) for t, vs in sorted(anomalous_by_time.items())},
         removed_contacts=removed_counts,
         dropped_timestamps=frozenset(dropped),
-        surviving=TemporalGraph(g.labels, kept),
+        surviving=TemporalGraph.from_timestamps(g.labels, g.t_max, kept),
     )
 
 
@@ -239,14 +244,16 @@ def precision_recall(original: TemporalGraph, report: AnomalyReport,
     A removed contact at a positive timestamp is a true positive, a removed
     contact elsewhere a false positive, a surviving contact at a positive
     timestamp a false negative. Either score is None when its denominator is
-    zero (nothing removed, or no positive contacts).
+    zero (nothing removed, or no positive contacts). The report's surviving
+    graph is a subgraph of `original`, so empty timestamps of `original`
+    score nothing.
     """
     positives = set(positive_timestamps)
     out_of_range = [t for t in positives if not 0 <= t <= original.t_max]
     if out_of_range:
         raise ValueError(f"positive timestamps {sorted(out_of_range)} outside 0..{original.t_max}")
     tp = fp = fn = 0
-    for t in range(original.t_max + 1):
+    for t in original.nonempty_times:
         total = len(original.edges_at(t))
         surviving = len(report.surviving.edges_at(t))
         removed = total - surviving

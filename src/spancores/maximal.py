@@ -133,13 +133,11 @@ def maximal_span_cores(g: TemporalGraph, trace: MaximalTrace | None = None) -> D
     metrics = RunMetrics()
     cores: list[SpanCore] = []
     # k_prime[t] carries the innermost order of [previous start, t] across
-    # start times; it is never reset.
-    k_prime = [0] * (g.t_max + 1)
-    for t_s in range(g.t_max + 1):
-        diff = edge_diff_sets(g, t_s)
-        if diff is None:
-            continue
-        t_star, removed = diff
+    # start times; it is never reset. Intervals with edges cover only
+    # non-empty timestamps, so only those need an entry.
+    k_prime = dict.fromkeys(g.nonempty_times, 0)
+    for t_s in g.nonempty_times:
+        t_star, removed = edge_diff_sets(g, t_s)
         edges = set(g.edges_at(t_s))
         for dropped in removed:
             edges -= dropped  # edges of [t_s, t_star]
@@ -174,7 +172,7 @@ def maximal_span_cores(g: TemporalGraph, trace: MaximalTrace | None = None) -> D
                     TraceStep(t_s, t_e, bound, len(candidates), order, accepted)
                 )
     if trace is not None:
-        trace.final_k_prime = list(k_prime)
+        trace.final_k_prime = [k_prime.get(t, 0) for t in range(g.t_max + 1)]
     metrics.elapsed = time.perf_counter() - started
     cores.sort(key=SpanCore.sort_key)
     return DecompositionResult(tuple(cores), g.labels, metrics)

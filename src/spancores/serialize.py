@@ -83,11 +83,20 @@ def read_cores_csv(stream: TextIO) -> DecompositionResult:
     for row in reader:
         if not row:
             continue
-        k, t_s, t_e, size, members = row
-        labels = members.split(MEMBER_SEPARATOR) if members else []
-        if int(size) != len(labels):
-            raise ValueError(f"size field {size} disagrees with {len(labels)} members")
-        rows.append((int(k), int(t_s), int(t_e), labels))
+        # A valid row pays for no check beyond these; the handler names the fault.
+        try:
+            k, t_s, t_e, size, members = row
+            labels = members.split(MEMBER_SEPARATOR) if members else []
+            if int(size) == len(labels):
+                rows.append((int(k), int(t_s), int(t_e), labels))
+                continue
+            problem = f"size field {size} disagrees with {len(labels)} members"
+        except ValueError:
+            if len(row) != len(CORE_CSV_HEADER):
+                problem = f"expected {len(CORE_CSV_HEADER)} fields, got {len(row)}"
+            else:
+                problem = "k, t_s, t_e and size must be integers"
+        raise ValueError(f"core file line {reader.line_num}: {problem}")
     return _result_from_rows(rows)
 
 

@@ -77,7 +77,7 @@ def naive_span_cores(g: TemporalGraph) -> DecompositionResult:
     metrics = RunMetrics()
     cores: list[SpanCore] = []
     everyone = range(g.vertex_count)
-    for t_s in range(g.t_max + 1):
+    for t_s in g.nonempty_times:
         edges = set(g.edges_at(t_s))
         for t_e in range(t_s, g.t_max + 1):
             if t_e > t_s:
@@ -120,6 +120,10 @@ def span_cores(g: TemporalGraph) -> DecompositionResult:
     intersection of its two parents' order-1 cores, so decomposition calls
     shrink as intervals grow. Intervals whose candidate intersection is empty
     are still visited and resolve to nothing via the edge guard.
+
+    Only non-empty timestamps seed the queue. An interval is enqueued once
+    both of its parents yielded cores, so no queued interval covers an empty
+    timestamp.
     """
     started = time.perf_counter()
     metrics = RunMetrics()
@@ -127,7 +131,7 @@ def span_cores(g: TemporalGraph) -> DecompositionResult:
     everyone = frozenset(range(g.vertex_count))
     queue: deque[tuple[int, int]] = deque()
     frontier = _Frontier()
-    for t in range(g.t_max + 1):
+    for t in g.nonempty_times:
         singleton = (t, t)
         queue.append(singleton)
         frontier.candidates[singleton] = everyone

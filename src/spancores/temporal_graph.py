@@ -10,16 +10,18 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 Edge = tuple[int, int]
 Contact = tuple[str, str, int]
 
 # Joins the member labels of a core in CSV core files.
 MEMBER_SEPARATOR = ";"
-# No vertex label may hold these: the member separator, and line breaks,
-# which would split a contact line or an unquoted CSV record.
-_LABEL_FORBIDDEN = (MEMBER_SEPARATOR, "\n", "\r")
+# No vertex label may hold these: the member separator of core CSV files,
+# and the comma that separates the fields of a contact line.
+_LABEL_SEPARATORS = (MEMBER_SEPARATOR, ",")
+# The edge set of every empty timestamp.
+_NO_EDGES: frozenset[Edge] = frozenset()
 
 
 class ContactParseError(ValueError):
@@ -77,23 +79,43 @@ class EdgeDiffSets(NamedTuple):
 class TemporalGraph:
     """Immutable temporal graph over timestamps 0..t_max.
 
-    Edge sets are canonicalized on construction: endpoints ordered low-high,
-    duplicates collapsed. Self-loops are rejected outright; droppers belong
-    in the ingestion layer, not here.
+    Only non-empty edge sets are stored, so memory follows the contacts, not
+    the time span. Edge sets are canonicalized on construction: endpoints
+    ordered low-high, duplicates collapsed. Self-loops are rejected outright;
+    droppers belong in the ingestion layer, not here.
     """
 
-    __slots__ = ("_labels", "_ids", "_edges")
+    __slots__ = ("_labels", "_edges", "_t_max", "_nonempty")
 
     def __init__(self, labels: Sequence[str], edges_by_time: Sequence[Iterable[Edge]]):
         if not edges_by_time:
             raise ValueError("a temporal graph needs at least one timestamp")
+        self._build(labels, len(edges_by_time) - 1, enumerate(edges_by_time))
+
+    @classmethod
+    def from_timestamps(cls, labels: Sequence[str], t_max: int,
+                        edges_by_time: Mapping[int, Iterable[Edge]]) -> "TemporalGraph":
+        """Build from the edge sets of some timestamps; all others are empty.
+
+        Runs the checks of the constructor, and each key of `edges_by_time`
+        must lie in 0..t_max.
+        """
+        if t_max < 0:
+            raise ValueError("a temporal graph needs at least one timestamp")
+        g = cls.__new__(cls)
+        g._build(labels, t_max, edges_by_time.items())
+        return g
+
+    def _build(self, labels: Sequence[str], t_max: int,
+               edges_by_time: Iterable[tuple[int, Iterable[Edge]]]) -> None:
         self._labels = tuple(labels)
-        self._ids = {label: i for i, label in enumerate(self._labels)}
-        if len(self._ids) != len(self._labels):
+        if len(set(self._labels)) != len(self._labels):
             raise ValueError("duplicate vertex labels")
         n = len(self._labels)
-        canon = []
-        for t, edges in enumerate(edges_by_time):
+        canon: dict[int, frozenset[Edge]] = {}
+        for t, edges in edges_by_time:
+            if not 0 <= t <= t_max:
+                raise ValueError(f"timestamp {t} outside 0..{t_max}")
             seen: set[Edge] = set()
             for u, v in edges:
                 if u == v:
@@ -101,22 +123,27 @@ class TemporalGraph:
                 if not (0 <= u < n and 0 <= v < n):
                     raise ValueError(f"edge ({u},{v}) at t={t} references unknown vertex")
                 seen.add((u, v) if u < v else (v, u))
-            canon.append(frozenset(seen))
-        self._edges = tuple(canon)
+            if seen:
+                canon[t] = frozenset(seen)
+        self._t_max = t_max
+        self._edges = canon
+        self._nonempty = tuple(sorted(canon))
 
     @classmethod
-    def _from_canonical(cls, ids: dict[str, int],
-                        edges: tuple[frozenset[Edge], ...]) -> "TemporalGraph":
-        """Build without the checks of __init__, for callers that already did them.
+    def _from_canonical(cls, ids: dict[str, int], t_max: int,
+                        edges: dict[int, frozenset[Edge]]) -> "TemporalGraph":
+        """Build without the checks of the constructor, for callers that already did them.
 
-        `ids` maps each label to its id in insertion order, and every edge is
-        an ordered (low, high) pair of known, distinct ids. Only
+        `ids` maps each label to its id in insertion order, every key of
+        `edges` lies in 0..t_max, and every value is a non-empty set of
+        ordered (low, high) pairs of known, distinct ids. Only
         ingest_contacts calls this.
         """
         g = cls.__new__(cls)
         g._labels = tuple(ids)
-        g._ids = ids
+        g._t_max = t_max
         g._edges = edges
+        g._nonempty = tuple(sorted(edges))
         return g
 
     @property
@@ -125,31 +152,32 @@ class TemporalGraph:
 
     @property
     def t_max(self) -> int:
-        return len(self._edges) - 1
+        return self._t_max
 
     @property
     def labels(self) -> tuple[str, ...]:
         return self._labels
 
     @property
-    def domain(self) -> Interval:
-        """The whole observed timestamp range."""
-        return Interval(0, self.t_max)
+    def nonempty_times(self) -> tuple[int, ...]:
+        """The timestamps with at least one edge, ascending.
+
+        No span-core covers an empty timestamp, so the engines and analyses
+        visit only these.
+        """
+        return self._nonempty
 
     def edges_at(self, t: int) -> frozenset[Edge]:
-        if not 0 <= t <= self.t_max:
-            raise ValueError(f"timestamp {t} outside 0..{self.t_max}")
-        return self._edges[t]
-
-    def id_of(self, label: str) -> int:
-        return self._ids[label]
+        if not 0 <= t <= self._t_max:
+            raise ValueError(f"timestamp {t} outside 0..{self._t_max}")
+        return self._edges.get(t, _NO_EDGES)
 
     def label_of(self, vertex: int) -> str:
         return self._labels[vertex]
 
     def contact_count(self) -> int:
         """Total number of (edge, timestamp) contacts."""
-        return sum(len(e) for e in self._edges)
+        return sum(map(len, self._edges.values()))
 
     def __repr__(self) -> str:
         return (f"TemporalGraph(|V|={self.vertex_count}, t_max={self.t_max}, "
@@ -207,8 +235,9 @@ def ingest_contacts(contacts: Iterable[Contact], window: int = 1,
     pre-discretized timestamps pass through verbatim. Duplicate contacts in a
     window collapse, self-loops are dropped (their labels and timestamps
     still count), and empty windows are kept so the time domain stays
-    contiguous. A label may hold neither MEMBER_SEPARATOR nor a line break,
-    so every core file written from the graph reads back.
+    contiguous. A label may hold neither MEMBER_SEPARATOR, a comma nor
+    whitespace, and may not start with '#', so every core file and contact
+    line written from the graph reads back.
     """
     contacts = list(contacts)
     if not contacts:
@@ -237,10 +266,7 @@ def ingest_contacts(contacts: Iterable[Contact], window: int = 1,
         first = next(t for _, _, t in contacts if t < origin)
         raise ValueError(f"contact time {first} precedes origin {origin}")
     for label in ids:
-        for char in _LABEL_FORBIDDEN:
-            if char in label:
-                raise ValueError(f"vertex label {label!r} contains {char!r}, "
-                                 "which core files and contact lines use as a separator")
+        _check_label(label)
     windows: dict[int, set[Edge]] = {}
     for raw_time, edges in staged.items():
         t = (raw_time - origin) // window
@@ -248,12 +274,22 @@ def ingest_contacts(contacts: Iterable[Contact], window: int = 1,
             windows[t] |= edges
         else:
             windows[t] = edges
-    # Every empty timestamp shares the one empty set.
-    by_time: list[frozenset[Edge]] = [frozenset()] * ((max(staged) - origin) // window + 1)
-    for t, edges in windows.items():
-        if edges:
-            by_time[t] = frozenset(edges)
-    return TemporalGraph._from_canonical(ids, tuple(by_time))
+    edges_by_time = {t: frozenset(edges) for t, edges in windows.items() if edges}
+    return TemporalGraph._from_canonical(ids, (max(staged) - origin) // window, edges_by_time)
+
+
+def _check_label(label: str) -> None:
+    """Reject a label that a core file or a contact line could not carry back."""
+    for char in _LABEL_SEPARATORS:
+        if char in label:
+            raise ValueError(f"vertex label {label!r} contains {char!r}, "
+                             "which core files and contact lines use as a separator")
+    if label.split() != [label]:
+        raise ValueError(f"vertex label {label!r} is empty or holds whitespace, "
+                         "which separates the fields of a contact line")
+    if label.startswith("#"):
+        raise ValueError(f"vertex label {label!r} starts with '#', "
+                         "which marks a comment line in a contact file")
 
 
 def edges_in_interval(g: TemporalGraph, interval: Interval) -> frozenset[Edge]:
@@ -266,24 +302,6 @@ def edges_in_interval(g: TemporalGraph, interval: Interval) -> frozenset[Edge]:
             break
         edges = edges & g.edges_at(t)
     return frozenset(edges)
-
-
-def temporal_degree(g: TemporalGraph, members: frozenset[int] | set[int],
-                    vertex: int, interval: Interval) -> int:
-    """Number of neighbors of `vertex` inside `members` across the interval.
-
-    Counts only edges that persist through every timestamp of the interval.
-    """
-    if vertex not in members:
-        raise ValueError(f"vertex {vertex} is not in the member set")
-    edges = edges_in_interval(g, interval)
-    count = 0
-    for u, v in edges:
-        if u == vertex and v in members:
-            count += 1
-        elif v == vertex and u in members:
-            count += 1
-    return count
 
 
 def edge_diff_sets(g: TemporalGraph, start: int) -> EdgeDiffSets | None:
@@ -330,9 +348,10 @@ def contact_lines(g: TemporalGraph) -> Iterator[str]:
     """Render the graph as re-ingestable contact lines "u v t".
 
     Timestamps are emitted verbatim, so feeding the lines back through
-    ingest_contacts(window=1, origin=0) reproduces the graph.
+    ingest_contacts(window=1, origin=0) reproduces the graph, up to empty
+    timestamps after the last contact.
     """
-    for t in range(g.t_max + 1):
+    for t in g.nonempty_times:
         pairs = sorted(
             tuple(sorted((g.label_of(u), g.label_of(v)))) for u, v in g.edges_at(t)
         )

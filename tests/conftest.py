@@ -3,18 +3,27 @@ definition-level oracles the engines are checked against.
 
 The oracles deliberately avoid the production kernels: k-cores come from
 fixed-point deletion and maximality from a pairwise dominance scan, so an
-engine bug cannot hide in a shared helper. The reference parser and ingest
-are the straightforward versions the optimized ones must stay equal to.
+engine bug cannot hide in a shared helper. The reference parser, ingest,
+null model, anomaly pass and contact writer are the straightforward versions
+that walk every timestamp; the optimized ones must stay equal to them.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
+from hypothesis import strategies as st
 
-from spancores import ContactParseError, TemporalGraph
+from spancores import (
+    AnomalyReport,
+    ContactParseError,
+    Interval,
+    TemporalGraph,
+    core_decomposition,
+    edges_in_interval,
+)
 
 OracleCore = tuple[int, tuple[int, int], frozenset[int]]
 
@@ -129,11 +138,54 @@ def fixed_point_core(vertex_count: int, edges: frozenset, k: int) -> frozenset[i
         members -= violating
 
 
+@st.composite
+def gappy_temporal_graphs(draw, max_vertices: int = 7, max_timestamps: int = 30) -> TemporalGraph:
+    """Graphs with runs of empty timestamps, as in a log that sleeps at night.
+
+    Shapes: leading, trailing and interior runs of empty timestamps around
+    random edge sets; a lone edge at one timestamp, possibly far from 0; and
+    a clique that persists through every non-empty timestamp. A horizon of
+    one timestamp comes up in each shape.
+    """
+    n = draw(st.integers(2, max_vertices))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    # Hypothesis leans to small integers; the second branch keeps long spans common.
+    middle = draw(st.integers(1, max_timestamps) | st.integers(max_timestamps // 2, max_timestamps))
+    lead = draw(st.integers(0, max_timestamps - middle))
+    trail = draw(st.integers(0, max_timestamps - middle - lead))
+    edges_by_time: list[set] = [set() for _ in range(lead + middle + trail)]
+    shape = draw(st.sampled_from(["gaps", "lone edge", "persistent clique"]))
+    if shape == "lone edge":
+        edges_by_time[lead + middle - 1].add(draw(st.sampled_from(pairs)))
+        return TemporalGraph([f"v{i}" for i in range(n)], edges_by_time)
+    clique = set()
+    if shape == "persistent clique":
+        size = draw(st.integers(2, min(n, 4)))
+        clique = {(i, j) for i, j in pairs if j < size}
+    # Three timestamps in four carry edges; the runs of leading and trailing
+    # gaps end at the first and last of them.
+    active = draw(st.lists(st.integers(0, 3), min_size=middle, max_size=middle))
+    active[0] = active[-1] = 1
+    for offset, on in enumerate(active):
+        if on:
+            edges = draw(st.sets(st.sampled_from(pairs), max_size=len(pairs)))
+            edges_by_time[lead + offset] = clique | edges or {pairs[0]}
+    return TemporalGraph([f"v{i}" for i in range(n)], edges_by_time)
+
+
 def interval_edges(g: TemporalGraph, t_s: int, t_e: int) -> frozenset:
     edges = g.edges_at(t_s)
     for t in range(t_s + 1, t_e + 1):
         edges = edges & g.edges_at(t)
     return frozenset(edges)
+
+
+def temporal_degree(g: TemporalGraph, members: frozenset[int], vertex: int,
+                    interval: Interval) -> int:
+    """Neighbors of `vertex` inside `members`, over the edges that persist
+    through every timestamp of the interval."""
+    return sum(1 for u, v in interval_edges(g, interval.start, interval.end)
+               if (u == vertex and v in members) or (v == vertex and u in members))
 
 
 def oracle_span_cores(g: TemporalGraph) -> set[OracleCore]:
@@ -174,6 +226,13 @@ def oracle_maximal(full: set[OracleCore]) -> set[OracleCore]:
 def as_triples(result) -> set[OracleCore]:
     """Engine output in the oracle's comparable shape."""
     return {(c.order, (c.span.start, c.span.end), c.members) for c in result.cores}
+
+
+def writable_label(label: str) -> bool:
+    """True for a label that core files and contact lines carry back intact:
+    no member separator, comma or whitespace, not empty, no leading '#'."""
+    return (";" not in label and "," not in label and label.split() == [label]
+            and not label.startswith("#"))
 
 
 def reference_parse_contact_lines(lines, strict: bool = True):
@@ -242,3 +301,121 @@ def reference_ingest_contacts(contacts, window: int = 1, origin: int | None = No
         staged.setdefault(t, set()).add((u, v) if u < v else (v, u))
     empty: set = set()
     return TemporalGraph(labels, [staged.get(t, empty) for t in range(t_max + 1)])
+
+
+# The null model, anomaly pass, scoring and contact writer as they were when
+# every one of them walked all timestamps 0..t_max.
+
+_SEED_MIX = 0x9E3779B1
+
+
+def reference_reshuffle_timestamps(g: TemporalGraph, seed: int = 0) -> TemporalGraph:
+    shuffled = []
+    for t in range(g.t_max + 1):
+        rng = random.Random(seed * _SEED_MIX + t)
+        shuffled.append(_reference_reshuffle_edges(g.edges_at(t), rng))
+    return TemporalGraph(g.labels, shuffled)
+
+
+def _reference_reshuffle_edges(edges, rng: random.Random) -> set:
+    current = set(edges)
+    pool = sorted(edges)  # deterministic draw order
+    budget = 10 * len(pool)
+    while len(pool) >= 2 and budget > 0:
+        budget -= 1
+        i, j = rng.sample(range(len(pool)), 2)
+        u, v = pool[i]
+        w, z = pool[j]
+        if u in (w, z) or v in (w, z):
+            continue
+        first = (u, z) if u < z else (z, u)
+        second = (w, v) if w < v else (v, w)
+        if first in current or second in current:
+            continue
+        current.remove(pool[i])
+        current.remove(pool[j])
+        current.add(first)
+        current.add(second)
+        for index in sorted((i, j), reverse=True):
+            pool.pop(index)
+    return current
+
+
+def _reference_order_one_core(g: TemporalGraph, interval: Interval) -> frozenset[int]:
+    labeling = core_decomposition(range(g.vertex_count), edges_in_interval(g, interval))
+    return frozenset(labeling.coreness)
+
+
+def reference_detect_anomalies(g: TemporalGraph, maximal, tr: int,
+                               ratio: float | None = None,
+                               span_cores_of=None) -> AnomalyReport:
+    if tr < 1:
+        raise ValueError(f"tr must be >= 1, got {tr}")
+    if ratio is not None and ratio <= 0:
+        raise ValueError(f"ratio must be positive, got {ratio}")
+    if span_cores_of is None:
+        span_cores_of = lambda interval: _reference_order_one_core(g, interval)
+
+    intervals = frozenset(c.span for c in maximal.cores if c.span.width > tr)
+    flagged_members = {interval: span_cores_of(interval) for interval in sorted(intervals)}
+    anomalous_by_time: dict[int, set[int]] = defaultdict(set)
+    for interval, members in flagged_members.items():
+        for t in interval.timestamps():
+            anomalous_by_time[t].update(members)
+
+    removed_counts: dict[int, int] = {}
+    kept: list[set] = []
+    for t in range(g.t_max + 1):
+        flagged = anomalous_by_time.get(t, ())
+        edges = g.edges_at(t)
+        surviving = {e for e in edges if e[0] not in flagged and e[1] not in flagged}
+        removed_counts[t] = len(edges) - len(surviving)
+        kept.append(surviving)
+
+    dropped: set[int] = set()
+    if ratio is not None:
+        for t in range(g.t_max + 1):
+            original = len(g.edges_at(t))
+            if original == 0:
+                continue
+            if not kept[t] or original / len(kept[t]) > ratio:
+                dropped.add(t)
+                kept[t] = set()
+
+    return AnomalyReport(
+        anomalous_intervals=intervals,
+        anomalous_vertices_by_time={t: frozenset(vs) for t, vs in sorted(anomalous_by_time.items())},
+        removed_contacts=removed_counts,
+        dropped_timestamps=frozenset(dropped),
+        surviving=TemporalGraph(g.labels, kept),
+    )
+
+
+def reference_precision_recall(original: TemporalGraph, report: AnomalyReport,
+                               positive_timestamps) -> tuple[float | None, float | None]:
+    positives = set(positive_timestamps)
+    out_of_range = [t for t in positives if not 0 <= t <= original.t_max]
+    if out_of_range:
+        raise ValueError(f"positive timestamps {sorted(out_of_range)} outside 0..{original.t_max}")
+    tp = fp = fn = 0
+    for t in range(original.t_max + 1):
+        total = len(original.edges_at(t))
+        surviving = len(report.surviving.edges_at(t))
+        removed = total - surviving
+        if t in positives:
+            tp += removed
+            fn += surviving
+        else:
+            fp += removed
+    precision = tp / (tp + fp) if tp + fp else None
+    recall = tp / (tp + fn) if tp + fn else None
+    return precision, recall
+
+
+def reference_contact_lines(g: TemporalGraph):
+    for t in range(g.t_max + 1):
+        pairs = sorted(
+            tuple(sorted((g.label_of(u), g.label_of(v)))) for u, v in g.edges_at(t)
+        )
+        for a, b in pairs:
+            yield f"{a} {b} {t}"

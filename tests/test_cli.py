@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -265,6 +266,32 @@ class TestErrorsAndDeterminism:
         error = capsys.readouterr().err.strip().splitlines()
         assert len(error) == 1 and message in error[0]
 
+    @pytest.mark.parametrize("contacts, label", [
+        ("b #a 0\nb c 0\n", "'#a'"),  # would be written back as the comment "#a b 0"
+        ("a b, c, 0\nc d 0\n", "'a b'"),  # would be written back as four fields
+    ])
+    def test_label_that_a_contact_line_cannot_carry_is_rejected(self, tmp_path, capsys,
+                                                               contacts, label):
+        path = tmp_path / "contacts.txt"
+        path.write_text(contacts)
+        assert run("shuffle", "--input", path, "--out", tmp_path / "o") == 2
+        error = capsys.readouterr().err.strip().splitlines()
+        assert len(error) == 1 and error[0].startswith(f"error: vertex label {label}")
+        assert not (tmp_path / "o" / "shuffled.txt").exists()
+
+    @pytest.mark.parametrize("row, message", [
+        ("1,0", "line 3: expected 5 fields, got 2"),
+        ("1,0,0,2,a;b,x", "line 3: expected 5 fields, got 6"),
+        ("1,zero,0,2,a;b", "line 3: k, t_s, t_e and size must be integers"),
+        ("1,0,0,3,a;b", "line 3: size field 3 disagrees with 2 members"),
+    ])
+    def test_malformed_csv_core_file_exits_2(self, tmp_path, capsys, row, message):
+        path = tmp_path / "cores.csv"
+        path.write_text("k,t_s,t_e,size,members\n1,0,0,2,a;b\n" + row + "\n")
+        assert run("stats", "--cores", path, "--out", tmp_path / "o") == 2
+        error = capsys.readouterr().err.strip().splitlines()
+        assert len(error) == 1 and message in error[0]
+
     def test_files_are_utf8_whatever_the_locale(self, tmp_path):
         path = tmp_path / "accented.txt"
         path.write_bytes("é b 0\nb c 0\nc é 0\n".encode("utf-8"))
@@ -337,3 +364,38 @@ def test_canonical_dump_of_surviving_graph_matches_cleaned_file(tmp_path):
     report = detect_anomalies(graph, maximal_span_cores(graph), tr=5)
     expected = "".join(line + "\n" for line in contact_lines(report.surviving))
     assert (out / "cleaned-contacts.txt").read_text() == expected
+
+
+class TestSparseTimeAxis:
+    """A contact far in the future costs no memory for the empty span before it."""
+
+    @pytest.fixture
+    def far_file(self, tmp_path):
+        path = tmp_path / "far.txt"
+        path.write_text("a b 0\nc d 1000000\n")
+        return path
+
+    @staticmethod
+    def _peak_bytes(*argv) -> int:
+        tracemalloc.start()
+        try:
+            assert run(*argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("command", ["decompose", "maximal", "shuffle"])
+    def test_far_future_contact(self, far_file, tmp_path, command):
+        out = tmp_path / "out"
+        assert self._peak_bytes(command, "--input", far_file, "--out", out) < 4 * 2 ** 20
+
+    def test_core_file_tools_on_far_future_cores(self, far_file, tmp_path):
+        out = tmp_path / "out"
+        assert run("decompose", "--input", far_file, "--out", out) == 0
+        assert (out / "cores.csv").read_text().splitlines()[1:] == [
+            "1,0,0,2,a;b", "1,1000000,1000000,2,c;d",
+        ]
+        assert run("stats", "--cores", out / "cores.csv", "--out", out) == 0
+        assert (out / "stats_by_span.csv").read_text() == "span,count,mean_size\n1,2,2\n"
+        assert run("grid", "--cores", out / "cores.csv", "--out", out) == 0
+        assert (out / "grid.csv").read_text() == "t_s,span,k\n0,1,1\n1000000,1,1\n"

@@ -8,9 +8,8 @@ from spancores import (
     TemporalGraph,
     naive_span_cores,
     span_cores,
-    temporal_degree,
 )
-from .conftest import as_triples, oracle_span_cores, random_temporal_graph
+from .conftest import as_triples, oracle_span_cores, random_temporal_graph, temporal_degree
 
 # Expected decomposition of the g_ex fixture, checked against the
 # fixed-point oracle in test_fixture_matches_oracle before being trusted here.

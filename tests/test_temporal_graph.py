@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spancores import (
@@ -16,13 +16,13 @@ from spancores import (
     edges_in_interval,
     ingest_contacts,
     parse_contact_lines,
-    temporal_degree,
 )
 from .conftest import (
     interval_edges,
     random_temporal_graph,
     reference_ingest_contacts,
     reference_parse_contact_lines,
+    writable_label,
 )
 
 
@@ -74,6 +74,33 @@ class TestConstruction:
     def test_rejects_empty_time_domain(self):
         with pytest.raises(ValueError):
             TemporalGraph(["a"], [])
+
+    def test_lists_only_the_nonempty_timestamps(self):
+        g = TemporalGraph(["a", "b"], [set(), {(1, 0)}, set(), {(0, 1)}, set()])
+        assert g.t_max == 4
+        assert g.nonempty_times == (1, 3)
+        assert g.edges_at(2) == frozenset()
+        assert g.contact_count() == 2
+        with pytest.raises(ValueError, match="outside"):
+            g.edges_at(5)
+
+    def test_from_timestamps_equals_the_dense_constructor(self):
+        sparse = TemporalGraph.from_timestamps(["a", "b", "c"], 6,
+                                               {5: [(2, 1)], 1: [(0, 1), (1, 0)], 3: []})
+        dense = TemporalGraph(["a", "b", "c"], [(), [(0, 1)], (), (), (), [(1, 2)], ()])
+        assert sparse.nonempty_times == (1, 5)
+        assert canonical_dump(sparse) == canonical_dump(dense)
+
+    @pytest.mark.parametrize("t_max, edges, message", [
+        (2, {3: [(0, 1)]}, "outside 0..2"),
+        (2, {-1: [(0, 1)]}, "outside 0..2"),
+        (2, {1: [(1, 1)]}, "self-loop"),
+        (2, {1: [(0, 2)]}, "unknown vertex"),
+        (-1, {}, "at least one timestamp"),
+    ])
+    def test_from_timestamps_checks_like_the_constructor(self, t_max, edges, message):
+        with pytest.raises(ValueError, match=message):
+            TemporalGraph.from_timestamps(["a", "b"], t_max, edges)
 
 
 class TestIngest:
@@ -131,7 +158,7 @@ class TestIngest:
         assert canonical_dump(again) == canonical_dump(g)
 
 
-    @pytest.mark.parametrize("label", ["a;x", "a\nx", "x\r"])
+    @pytest.mark.parametrize("label", ["a;x", "a\nx", "x\r", "a,x", "a b", "#a", ""])
     def test_label_that_cannot_be_serialized_rejected(self, label):
         with pytest.raises(ValueError, match="vertex label"):
             ingest_contacts([("b", "c", 0), (label, "b", 1)])
@@ -217,9 +244,42 @@ class TestReferenceEquivalence:
            st.one_of(st.none(), st.integers(0, 12)))
     def test_parsed_lines_ingest_like_reference(self, lines, window, origin):
         contacts, _ = parse_contact_lines(lines, strict=False)
-        contacts = [c for c in contacts if ";" not in c[0] + c[1]]
+        contacts = [c for c in contacts if writable_label(c[0]) and writable_label(c[1])]
         assert (_ingest_outcome(ingest_contacts, contacts, window, origin)
                 == _ingest_outcome(reference_ingest_contacts, contacts, window, origin))
+
+
+# One character, maybe with a plain neighbour, that a contact line or a core
+# file treats specially.
+_ODD_LABEL = st.builds("{}{}{}".format, st.sampled_from(["", "x"]),
+                       st.sampled_from(list("#,; \t\n\r\x0b\x1c\x85\u2028")),
+                       st.sampled_from(["", "x"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(max_size=3) | _ODD_LABEL,
+       st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 40)),
+                min_size=1, max_size=8),
+       st.integers(1, 4), st.one_of(st.none(), st.integers(0, 3)))
+def test_contact_lines_read_back_to_the_same_graph(odd, picks, window, origin):
+    """Every graph ingest accepts, contact_lines writes in a form that reads back.
+
+    One arbitrary label mixes with plain ones, so a rejection can only be its fault.
+    """
+    pool = ["a", "b", "é", odd]
+    contacts = [(pool[i], pool[j], t) for i, j, t in picks if pool[i] != pool[j]]
+    assume(contacts)
+    labels = {label for u, v, _ in contacts for label in (u, v)}
+    origin = None if origin is None else min(origin, min(t for _, _, t in contacts))
+    try:
+        g = ingest_contacts(contacts, window=window, origin=origin)
+    except ValueError:
+        assert not all(map(writable_label, labels))
+        return
+    assert all(map(writable_label, labels))
+    parsed, skipped = parse_contact_lines(line + "\n" for line in contact_lines(g))
+    assert skipped == 0
+    assert canonical_dump(ingest_contacts(parsed, window=1, origin=0)) == canonical_dump(g)
 
 
 class TestIntervalEdges:
@@ -243,19 +303,6 @@ class TestIntervalEdges:
                     if previous is not None:
                         assert edges <= previous
                     previous = edges
-
-
-class TestTemporalDegree:
-    def test_counts_only_inside_member_set(self, g_ex):
-        everyone = frozenset(range(4))
-        assert temporal_degree(g_ex, everyone, 2, Interval(0, 0)) == 3
-        assert temporal_degree(g_ex, frozenset({0, 1, 2}), 2, Interval(0, 0)) == 2
-        assert temporal_degree(g_ex, everyone, 0, Interval(0, 1)) == 2
-        assert temporal_degree(g_ex, everyone, 3, Interval(0, 1)) == 0
-
-    def test_member_contract(self, g_ex):
-        with pytest.raises(ValueError, match="not in the member set"):
-            temporal_degree(g_ex, frozenset({0, 1}), 3, Interval(0, 0))
 
 
 class TestEdgeDiffSets:
