@@ -20,10 +20,6 @@ class CoreLabeling:
     coreness: Mapping[int, int]
     max_order: int
 
-    def core(self, k: int) -> frozenset[int]:
-        """The k-core: vertices with coreness >= k."""
-        return frozenset(u for u, c in self.coreness.items() if c >= k)
-
 
 def core_decomposition(vertices: Iterable[int], edges: Iterable[Edge]) -> CoreLabeling:
     """Peel the graph and label every non-isolated vertex with its coreness.

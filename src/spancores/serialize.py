@@ -49,11 +49,16 @@ def cores_to_jsonl(result: DecompositionResult, maximal: bool = False) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+def elapsed_ms(metrics: RunMetrics) -> float:
+    """The engine's run time as metrics.json and bench.json report it."""
+    return round(metrics.elapsed * 1000.0, 3)
+
+
 def metrics_to_json(metrics: RunMetrics) -> str:
     payload = {
         "processed_vertices": metrics.processed_vertices,
         "cores": metrics.cores_emitted,
-        "elapsed_ms": round(metrics.elapsed * 1000.0, 3),
+        "elapsed_ms": elapsed_ms(metrics),
     }
     return json.dumps(payload, indent=2) + "\n"
 
@@ -87,10 +92,14 @@ def read_cores_csv(stream: TextIO) -> DecompositionResult:
         try:
             k, t_s, t_e, size, members = row
             labels = members.split(MEMBER_SEPARATOR) if members else []
-            if int(size) == len(labels):
-                rows.append((int(k), int(t_s), int(t_e), labels))
+            start, end = int(t_s), int(t_e)
+            if int(size) != len(labels):
+                problem = f"size field {size} disagrees with {len(labels)} members"
+            elif not 0 <= start <= end:
+                problem = _span_problem(start, end)
+            else:
+                rows.append((int(k), start, end, labels))
                 continue
-            problem = f"size field {size} disagrees with {len(labels)} members"
         except ValueError:
             if len(row) != len(CORE_CSV_HEADER):
                 problem = f"expected {len(CORE_CSV_HEADER)} fields, got {len(row)}"
@@ -122,10 +131,16 @@ def _jsonl_row(record) -> tuple[int, int, int, list[str]]:
     numbers = [record[key] for key in ("k", "t_s", "t_e")]
     if not all(type(n) is int for n in numbers):
         raise ValueError("k, t_s and t_e must be integers")
+    if not 0 <= numbers[1] <= numbers[2]:
+        raise ValueError(_span_problem(numbers[1], numbers[2]))
     members = record["members"]
     if not isinstance(members, list) or not all(isinstance(m, str) for m in members):
         raise ValueError("members must be a list of labels")
     return (*numbers, members)
+
+
+def _span_problem(t_s: int, t_e: int) -> str:
+    return f"interval [{t_s},{t_e}] needs 0 <= t_s <= t_e"
 
 
 def read_cores(stream: TextIO, fmt: str) -> DecompositionResult:

@@ -10,11 +10,11 @@ both one-step-smaller intervals.
 from __future__ import annotations
 
 import time
-from collections import defaultdict, deque
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass
 
 from .core_kernel import core_decomposition
-from .temporal_graph import Interval, TemporalGraph, edges_in_interval
+from .temporal_graph import Edge, Interval, TemporalGraph, edges_in_interval
 
 
 @dataclass(frozen=True)
@@ -92,77 +92,51 @@ def naive_span_cores(g: TemporalGraph) -> DecompositionResult:
     return DecompositionResult(tuple(cores), g.labels, metrics)
 
 
-@dataclass
-class _Frontier:
-    """Candidate bookkeeping for the pruned engine.
-
-    Candidate sets live at most two generations: an interval's entry is
-    dropped when it is dequeued, and entries whose second parent never
-    produced cores are purged when their generation starts.
-    """
-
-    candidates: dict[tuple[int, int], frozenset[int]] = field(default_factory=dict)
-    ever_enqueued: set[tuple[int, int]] = field(default_factory=set)
-
-    def purge_dead(self, width: int) -> None:
-        dead = [iv for iv in self.candidates
-                if iv[1] - iv[0] + 1 == width and iv not in self.ever_enqueued]
-        for iv in dead:
-            del self.candidates[iv]
-
-
 def span_cores(g: TemporalGraph) -> DecompositionResult:
-    """Pruned engine: grow intervals breadth-first, shrinking candidates.
+    """Pruned engine: grow intervals width by width, shrinking candidates.
 
     Any member of a span-core over D must sit in the order-1 core of both
-    intervals obtained by trimming one endpoint of D. The queue visits
-    intervals by increasing width; each interval's candidate set is the
-    intersection of its two parents' order-1 cores, so decomposition calls
-    shrink as intervals grow. Intervals whose candidate intersection is empty
-    are still visited and resolve to nothing via the edge guard.
+    intervals obtained by trimming one endpoint of D, and any edge of D is an
+    edge of both. So [s, e] is visited only when [s, e-1] and [s+1, e] both
+    yielded cores: its candidates are the intersection of their order-1
+    cores, and its edges the intersection of the edge sets their kernel calls
+    saw. Both endpoints of an edge a kernel call saw lie in that interval's
+    order-1 core, so the intersection is exactly the edges of [s, e] among
+    the candidates, and decomposition calls shrink as intervals grow.
 
-    Only non-empty timestamps seed the queue. An interval is enqueued once
-    both of its parents yielded cores, so no queued interval covers an empty
-    timestamp.
+    A level maps the start of each interval of the current width that
+    yielded cores to (order-1 core, kernel edges). Only non-empty timestamps
+    seed the first level, so no visited interval covers an empty timestamp.
     """
     started = time.perf_counter()
     metrics = RunMetrics()
     cores: list[SpanCore] = []
-    everyone = frozenset(range(g.vertex_count))
-    queue: deque[tuple[int, int]] = deque()
-    frontier = _Frontier()
+    everyone = range(g.vertex_count)
+    level: dict[int, tuple[frozenset[int], frozenset[Edge]]] = {}
     for t in g.nonempty_times:
-        singleton = (t, t)
-        queue.append(singleton)
-        frontier.candidates[singleton] = everyone
-        frontier.ever_enqueued.add(singleton)
+        span = Interval(t, t)
+        edges = edges_in_interval(g, span)
+        labeling = core_decomposition(everyone, edges)
+        metrics.processed_vertices += g.vertex_count
+        level[t] = (_emit_cores(labeling, span, cores, metrics), edges)
 
-    current_width = 1
-    while queue:
-        t_s, t_e = queue.popleft()
-        width = t_e - t_s + 1
-        if width > current_width:
-            current_width = width
-            frontier.purge_dead(width)
-        candidates = frontier.candidates.pop((t_s, t_e))
-        edges = edges_in_interval(g, Interval(t_s, t_e))
-        if len(candidates) < g.vertex_count:
-            edges = frozenset(e for e in edges if e[0] in candidates and e[1] in candidates)
-        if not edges:
-            continue
-        labeling = core_decomposition(candidates, edges)
-        metrics.processed_vertices += len(candidates)
-        order_one = _emit_cores(labeling, Interval(t_s, t_e), cores, metrics)
-        for child in ((max(t_s - 1, 0), t_e), (t_s, min(t_e + 1, g.t_max))):
-            if child == (t_s, t_e):
-                continue  # at the domain boundary the trimmed child folds back
-            if child in frontier.candidates:
-                frontier.candidates[child] = frontier.candidates[child] & order_one
-                if child not in frontier.ever_enqueued:
-                    queue.append(child)
-                    frontier.ever_enqueued.add(child)
-            else:
-                frontier.candidates[child] = order_one
+    width = 1
+    while level:
+        wider = {}
+        for t_s, (left_core, left_edges) in level.items():
+            right = level.get(t_s + 1)
+            if right is None:
+                continue
+            edges = left_edges & right[1]
+            if not edges:
+                continue
+            candidates = left_core & right[0]
+            labeling = core_decomposition(candidates, edges)
+            metrics.processed_vertices += len(candidates)
+            span = Interval(t_s, t_s + width)
+            wider[t_s] = (_emit_cores(labeling, span, cores, metrics), edges)
+        level = wider
+        width += 1
     metrics.elapsed = time.perf_counter() - started
     cores.sort(key=SpanCore.sort_key)
     return DecompositionResult(tuple(cores), g.labels, metrics)

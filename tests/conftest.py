@@ -5,13 +5,16 @@ The oracles deliberately avoid the production kernels: k-cores come from
 fixed-point deletion and maximality from a pairwise dominance scan, so an
 engine bug cannot hide in a shared helper. The reference parser, ingest,
 null model, anomaly pass and contact writer are the straightforward versions
-that walk every timestamp; the optimized ones must stay equal to them.
+that walk every timestamp, and the reference pruned engine is the queue-based
+one; the optimized ones must stay equal to them.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter, defaultdict
+import time
+from collections import Counter, defaultdict, deque
+from dataclasses import dataclass, field
 
 import pytest
 from hypothesis import strategies as st
@@ -24,6 +27,7 @@ from spancores import (
     core_decomposition,
     edges_in_interval,
 )
+from spancores.span_cores import DecompositionResult, RunMetrics, SpanCore, _emit_cores
 
 OracleCore = tuple[int, tuple[int, int], frozenset[int]]
 
@@ -121,6 +125,11 @@ def ratio_fixture_graph() -> TemporalGraph:
             edges |= background
         edges_by_time.append(edges)
     return TemporalGraph([f"v{i}" for i in range(30)], edges_by_time)
+
+
+def k_core(labeling, k: int) -> frozenset[int]:
+    """The k-core of a core labeling: vertices with coreness >= k."""
+    return frozenset(u for u, c in labeling.coreness.items() if c >= k)
 
 
 def fixed_point_core(vertex_count: int, edges: frozenset, k: int) -> frozenset[int]:
@@ -419,3 +428,83 @@ def reference_contact_lines(g: TemporalGraph):
         )
         for a, b in pairs:
             yield f"{a} {b} {t}"
+
+
+# The pruned engine as it was when it ran a queue of intervals, each taking
+# its edges from edges_in_interval; the width-by-width engine must match it
+# core for core and count for count.
+
+@dataclass
+class _Frontier:
+    """Candidate bookkeeping for the pruned engine.
+
+    Candidate sets live at most two generations: an interval's entry is
+    dropped when it is dequeued, and entries whose second parent never
+    produced cores are purged when their generation starts.
+    """
+
+    candidates: dict[tuple[int, int], frozenset[int]] = field(default_factory=dict)
+    ever_enqueued: set[tuple[int, int]] = field(default_factory=set)
+
+    def purge_dead(self, width: int) -> None:
+        dead = [iv for iv in self.candidates
+                if iv[1] - iv[0] + 1 == width and iv not in self.ever_enqueued]
+        for iv in dead:
+            del self.candidates[iv]
+
+
+def reference_span_cores(g: TemporalGraph) -> DecompositionResult:
+    """Pruned engine: grow intervals breadth-first, shrinking candidates.
+
+    Any member of a span-core over D must sit in the order-1 core of both
+    intervals obtained by trimming one endpoint of D. The queue visits
+    intervals by increasing width; each interval's candidate set is the
+    intersection of its two parents' order-1 cores, so decomposition calls
+    shrink as intervals grow. Intervals whose candidate intersection is empty
+    are still visited and resolve to nothing via the edge guard.
+
+    Only non-empty timestamps seed the queue. An interval is enqueued once
+    both of its parents yielded cores, so no queued interval covers an empty
+    timestamp.
+    """
+    started = time.perf_counter()
+    metrics = RunMetrics()
+    cores: list[SpanCore] = []
+    everyone = frozenset(range(g.vertex_count))
+    queue: deque[tuple[int, int]] = deque()
+    frontier = _Frontier()
+    for t in g.nonempty_times:
+        singleton = (t, t)
+        queue.append(singleton)
+        frontier.candidates[singleton] = everyone
+        frontier.ever_enqueued.add(singleton)
+
+    current_width = 1
+    while queue:
+        t_s, t_e = queue.popleft()
+        width = t_e - t_s + 1
+        if width > current_width:
+            current_width = width
+            frontier.purge_dead(width)
+        candidates = frontier.candidates.pop((t_s, t_e))
+        edges = edges_in_interval(g, Interval(t_s, t_e))
+        if len(candidates) < g.vertex_count:
+            edges = frozenset(e for e in edges if e[0] in candidates and e[1] in candidates)
+        if not edges:
+            continue
+        labeling = core_decomposition(candidates, edges)
+        metrics.processed_vertices += len(candidates)
+        order_one = _emit_cores(labeling, Interval(t_s, t_e), cores, metrics)
+        for child in ((max(t_s - 1, 0), t_e), (t_s, min(t_e + 1, g.t_max))):
+            if child == (t_s, t_e):
+                continue  # at the domain boundary the trimmed child folds back
+            if child in frontier.candidates:
+                frontier.candidates[child] = frontier.candidates[child] & order_one
+                if child not in frontier.ever_enqueued:
+                    queue.append(child)
+                    frontier.ever_enqueued.add(child)
+            else:
+                frontier.candidates[child] = order_one
+    metrics.elapsed = time.perf_counter() - started
+    cores.sort(key=SpanCore.sort_key)
+    return DecompositionResult(tuple(cores), g.labels, metrics)

@@ -76,6 +76,15 @@ class TestDecompose:
         assert set(bench) == {"elapsed_ms", "peak_memory_bytes", "processed_vertices"}
         assert bench["processed_vertices"] == 19
 
+    @pytest.mark.parametrize("command", ["decompose", "maximal"])
+    def test_bench_time_is_the_engine_run_time(self, contact_file, tmp_path, command):
+        out = tmp_path / "out"
+        assert run(command, "--input", contact_file, "--bench", "--out", out) == 0
+        bench = json.loads((out / "bench.json").read_text())
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert bench["elapsed_ms"] == metrics["elapsed_ms"]
+        assert bench["peak_memory_bytes"] > 0
+
     def test_windowing_flags_are_applied(self, tmp_path):
         path = tmp_path / "raw.txt"
         path.write_text("a b 0\na b 10\nb a 25\na c 70\n")
@@ -258,6 +267,8 @@ class TestErrorsAndDeterminism:
         ('{"k": "1", "t_s": 0, "t_e": 0, "members": ["a", "b"]}', "line 2: k, t_s and t_e"),
         ('{"k": 1, "t_s": 0, "t_e": 0, "members": "ab"}', "line 2: members must be"),
         ('{"k": 1,', "line 2: "),
+        ('{"k": 1, "t_s": 3, "t_e": 1, "members": ["a", "b"]}', "line 2: interval [3,1]"),
+        ('{"k": 1, "t_s": -1, "t_e": 0, "members": ["a", "b"]}', "line 2: interval [-1,0]"),
     ])
     def test_malformed_jsonl_core_file_exits_2(self, tmp_path, capsys, line, message):
         path = tmp_path / "cores.jsonl"
@@ -284,6 +295,8 @@ class TestErrorsAndDeterminism:
         ("1,0,0,2,a;b,x", "line 3: expected 5 fields, got 6"),
         ("1,zero,0,2,a;b", "line 3: k, t_s, t_e and size must be integers"),
         ("1,0,0,3,a;b", "line 3: size field 3 disagrees with 2 members"),
+        ("1,3,1,2,a;b", "line 3: interval [3,1] needs 0 <= t_s <= t_e"),
+        ("1,-1,0,2,a;b", "line 3: interval [-1,0] needs 0 <= t_s <= t_e"),
     ])
     def test_malformed_csv_core_file_exits_2(self, tmp_path, capsys, row, message):
         path = tmp_path / "cores.csv"

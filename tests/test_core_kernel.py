@@ -5,7 +5,7 @@ import random
 import pytest
 
 from spancores import core_decomposition, innermost_core
-from .conftest import fixed_point_core
+from .conftest import fixed_point_core, k_core
 
 
 def random_static_graph(rng: random.Random, max_vertices: int = 50):
@@ -20,8 +20,8 @@ class TestCoreDecomposition:
         labeling = core_decomposition(range(4), [(0, 1), (1, 2), (0, 2), (2, 3)])
         assert labeling.coreness == {3: 1, 0: 2, 1: 2, 2: 2}
         assert labeling.max_order == 2
-        assert labeling.core(1) == frozenset({0, 1, 2, 3})
-        assert labeling.core(2) == frozenset({0, 1, 2})
+        assert k_core(labeling, 1) == frozenset({0, 1, 2, 3})
+        assert k_core(labeling, 2) == frozenset({0, 1, 2})
 
     def test_isolated_vertices_get_no_entry(self):
         labeling = core_decomposition(range(5), [(0, 1)])
@@ -48,7 +48,7 @@ class TestCoreDecomposition:
             k = 1
             while True:
                 expected = fixed_point_core(n, edges, k)
-                assert labeling.core(k) == expected
+                assert k_core(labeling, k) == expected
                 if not expected:
                     break
                 k += 1
@@ -60,7 +60,7 @@ class TestCoreDecomposition:
             n, edges = random_static_graph(rng, max_vertices=20)
             labeling = core_decomposition(range(n), edges)
             for k in range(1, labeling.max_order + 1):
-                members = labeling.core(k)
+                members = k_core(labeling, k)
                 for u in members:
                     inside = sum(1 for a, b in edges
                                  if (a == u and b in members) or (b == u and a in members))
@@ -83,4 +83,4 @@ class TestInnermostCore:
             order, members = innermost_core(range(n), edges)
             labeling = core_decomposition(range(n), edges)
             assert order == labeling.max_order
-            assert members == labeling.core(order) if order else members == frozenset()
+            assert members == k_core(labeling, order) if order else members == frozenset()

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from spancores import (
     Interval,
     SpanCore,
@@ -9,7 +12,14 @@ from spancores import (
     naive_span_cores,
     span_cores,
 )
-from .conftest import as_triples, oracle_span_cores, random_temporal_graph, temporal_degree
+from .conftest import (
+    as_triples,
+    gappy_temporal_graphs,
+    oracle_span_cores,
+    random_temporal_graph,
+    reference_span_cores,
+    temporal_degree,
+)
 
 # Expected decomposition of the g_ex fixture, checked against the
 # fixed-point oracle in test_fixture_matches_oracle before being trusted here.
@@ -115,6 +125,20 @@ class TestEngineProperties:
         assert first.cores == second.cores
         assert (first.metrics.processed_vertices
                 == second.metrics.processed_vertices)
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(
+        st.randoms(use_true_random=False).map(
+            lambda rng: random_temporal_graph(rng, max_vertices=15, max_timestamps=30)),
+        gappy_temporal_graphs(),
+    ))
+    def test_matches_the_queue_engine(self, g):
+        result = span_cores(g)
+        expected = reference_span_cores(g)
+        assert result.cores == expected.cores
+        assert result.metrics.processed_vertices == expected.metrics.processed_vertices
+        assert result.metrics.cores_emitted == expected.metrics.cores_emitted
 
 
 class TestEdgeCases:
