@@ -16,7 +16,6 @@ from .core_kernel import CoreLabeling, core_decomposition, innermost_core
 from .maximal import (
     MaximalTrace,
     TraceStep,
-    dominates,
     maximal_span_cores,
     naive_maximal_span_cores,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "contact_lines",
     "core_decomposition",
     "detect_anomalies",
-    "dominates",
     "edge_diff_sets",
     "edges_in_interval",
     "ingest_contacts",

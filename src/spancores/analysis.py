@@ -22,7 +22,7 @@ def stats_by_order(result: DecompositionResult) -> list[tuple[int, int, float]]:
     """Rows (order, count, mean member count), ascending by order."""
     sizes = defaultdict(list)
     for core in result.cores:
-        sizes[core.order].append(len(core.members))
+        sizes[core.order].append(core.size)
     return [(k, len(sizes[k]), sum(sizes[k]) / len(sizes[k])) for k in sorted(sizes)]
 
 
@@ -30,7 +30,7 @@ def stats_by_span(result: DecompositionResult) -> list[tuple[int, int, float]]:
     """Rows (interval width, count, mean member count), ascending by width."""
     sizes = defaultdict(list)
     for core in result.cores:
-        sizes[core.span.width].append(len(core.members))
+        sizes[core.span.width].append(core.size)
     return [(w, len(sizes[w]), sum(sizes[w]) / len(sizes[w])) for w in sorted(sizes)]
 
 
@@ -62,14 +62,16 @@ class AttributeTable:
         reader = csv.reader(stream)
         header = next(reader, None)
         if not header or header[0] != "label" or len(header) < 2:
-            raise ValueError(f"attribute CSV must start with 'label,<attr>,...', got {header!r}")
+            raise ValueError("line 1: attribute CSV must start with 'label,<attr>,...', "
+                             f"got {header!r}")
         attributes = header[1:]
         values: dict[str, dict[str, str]] = {}
         for row in reader:
             if not row:
                 continue
             if len(row) != len(header):
-                raise ValueError(f"attribute row {row!r} does not match header width")
+                raise ValueError(f"line {reader.line_num}: attribute row {row!r} "
+                                 "does not match header width")
             values[row[0]] = dict(zip(attributes, row[1:]))
         return cls(attributes, values)
 
@@ -111,7 +113,7 @@ def purity_curve(result: DecompositionResult, attrs: AttributeTable,
                 categories[value] += 1
         if not categories:
             continue
-        purity = max(categories.values()) / len(core.members)
+        purity = max(categories.values()) / core.size
         for t in core.span.timestamps():
             per_timestamp[t].append(purity)
     curve = {t: sum(vals) / len(vals) for t, vals in sorted(per_timestamp.items())}

@@ -55,11 +55,19 @@ def _write_atomic(path: Path, content: str) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(content)
+        # mkstemp creates the file 0600; give it the mode a plain open would.
+        os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
 
 
 def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace) -> None:
@@ -184,7 +192,10 @@ def cmd_purity(args) -> int:
     if not attrs_path.exists():
         raise CliError(f"attribute file not found: {attrs_path}")
     with attrs_path.open(encoding="utf-8") as handle:
-        table = AttributeTable.from_csv(handle)
+        try:
+            table = AttributeTable.from_csv(handle)
+        except ValueError as error:
+            raise CliError(f"{attrs_path} {error}") from None
     curve = purity_curve(result, table, args.attribute)
     if curve.skipped_vertices:
         _log(f"skipped {curve.skipped_vertices} member(s) without a value")
@@ -203,6 +214,21 @@ def cmd_shuffle(args) -> int:
     _write_manifest(out_dir, "shuffle", args)
     _log(f"reshuffled {shuffled.contact_count()} contacts with seed {args.seed}")
     return 0
+
+
+def _read_positives(path: Path) -> list[int]:
+    positives = []
+    with path.open(encoding="utf-8") as handle:
+        for line_number, line in enumerate(handle, start=1):
+            text = line.strip()
+            if not text:
+                continue
+            try:
+                positives.append(int(text))
+            except ValueError:
+                raise CliError(f"{path} line {line_number}: expected an integer timestamp, "
+                               f"got {text!r}") from None
+    return positives
 
 
 def cmd_anomaly(args) -> int:
@@ -225,8 +251,7 @@ def cmd_anomaly(args) -> int:
         positives_path = Path(args.positives)
         if not positives_path.exists():
             raise CliError(f"positive-timestamp file not found: {positives_path}")
-        with positives_path.open(encoding="utf-8") as handle:
-            positives = [int(line.strip()) for line in handle if line.strip()]
+        positives = _read_positives(positives_path)
         precision, recall = precision_recall(graph, report, positives)
         payload["precision"] = precision
         payload["recall"] = recall

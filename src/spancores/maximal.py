@@ -18,17 +18,6 @@ from .span_cores import DecompositionResult, RunMetrics, SpanCore, span_cores
 from .temporal_graph import Edge, Interval, TemporalGraph, edge_diff_sets
 
 
-def dominates(first: SpanCore, second: SpanCore) -> bool:
-    """True if `first` has at least the order of `second` and covers its span.
-
-    The two cores must differ in (order, span); comparing a core against
-    itself is a caller bug.
-    """
-    if first.order == second.order and first.span == second.span:
-        raise ValueError("dominance is only defined between distinct (order, span) pairs")
-    return first.order >= second.order and first.span.contains(second.span)
-
-
 class TraceStep(NamedTuple):
     """One interval visit of the direct engine."""
 

@@ -9,7 +9,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import Iterable, Sequence, TextIO
+from collections import Counter
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .span_cores import DecompositionResult, RunMetrics, SpanCore
 from .temporal_graph import MEMBER_SEPARATOR, Interval
@@ -17,26 +18,21 @@ from .temporal_graph import MEMBER_SEPARATOR, Interval
 CORE_CSV_HEADER = ["k", "t_s", "t_e", "size", "members"]
 
 
-def _ordered_cores(result: DecompositionResult) -> list[SpanCore]:
-    return sorted(result.cores, key=SpanCore.sort_key)
-
-
 def cores_to_csv(result: DecompositionResult) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CORE_CSV_HEADER)
-    for core in _ordered_cores(result):
-        labels = result.member_labels(core)
+    for core in result.cores:
         writer.writerow([
             core.order, core.span.start, core.span.end,
-            len(core.members), MEMBER_SEPARATOR.join(labels),
+            core.size, MEMBER_SEPARATOR.join(result.member_labels(core)),
         ])
     return out.getvalue()
 
 
 def cores_to_jsonl(result: DecompositionResult, maximal: bool = False) -> str:
     lines = []
-    for core in _ordered_cores(result):
+    for core in result.cores:
         record = {
             "k": core.order,
             "t_s": core.span.start,
@@ -63,20 +59,52 @@ def metrics_to_json(metrics: RunMetrics) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _result_from_rows(rows: Iterable[tuple[int, int, int, list[str]]]) -> DecompositionResult:
-    ids: dict[str, int] = {}
-    labels: list[str] = []
+# A parsed core record: line number, k, t_s, t_e, member labels, and the
+# same labels joined by MEMBER_SEPARATOR.
+Row = tuple[int, int, int, int, list[str], str]
+
+
+def _result_from_rows(rows: Iterable[Row]) -> DecompositionResult:
+    """Check each parsed record and build the read-back result.
+
+    Cores keep their joined labels; the result numbers them only when asked
+    (see `DecompositionResult.labels`). Every writer emits records sorted,
+    so they are sorted here only when one is found out of order.
+    """
+    result = DecompositionResult((), None, RunMetrics())
     cores = []
-    for order, t_s, t_e, members in rows:
-        member_ids = []
-        for label in members:
-            if label not in ids:
-                ids[label] = len(labels)
-                labels.append(label)
-            member_ids.append(ids[label])
-        cores.append(SpanCore(order, Interval(t_s, t_e), frozenset(member_ids)))
-    cores.sort(key=SpanCore.sort_key)
-    return DecompositionResult(tuple(cores), tuple(labels), RunMetrics())
+    read_back = SpanCore._read_back
+    last = (-1, -1, 0)  # (t_s, t_e, k) of the previous record
+    seen = None  # every (t_s, t_e, k) so far, kept once records come out of order
+    span = None
+    for line, k, t_s, t_e, labels, joined in rows:
+        key = (t_s, t_e, k)
+        if key < last and seen is None:
+            seen = {(c.span.start, c.span.end, c.order) for c in cores}
+        size = len(labels)
+        if k < 1:
+            problem = f"order {k} must be at least 1"
+        elif not 0 <= t_s <= t_e:
+            problem = _span_problem(t_s, t_e)
+        elif not size:
+            problem = "a core needs at least one member"
+        elif len(set(labels)) != size:
+            problem = f"member {Counter(labels).most_common(1)[0][0]!r} is listed twice"
+        elif key == last or (seen is not None and key in seen):
+            problem = f"a second core of order {k} over [{t_s},{t_e}]"
+        else:
+            if seen is not None:
+                seen.add(key)
+            if t_s != last[0] or t_e != last[1]:
+                span = Interval(t_s, t_e)
+            last = key
+            cores.append(read_back(k, span, size, joined, result))
+            continue
+        raise ValueError(f"core file line {line}: {problem}")
+    if seen is not None:
+        cores.sort(key=SpanCore.sort_key)
+    result.cores = tuple(cores)
+    return result
 
 
 def read_cores_csv(stream: TextIO) -> DecompositionResult:
@@ -84,7 +112,10 @@ def read_cores_csv(stream: TextIO) -> DecompositionResult:
     header = next(reader, None)
     if header != CORE_CSV_HEADER:
         raise ValueError(f"unexpected core CSV header: {header!r}")
-    rows = []
+    return _result_from_rows(_csv_rows(reader))
+
+
+def _csv_rows(reader) -> Iterator[Row]:
     for row in reader:
         if not row:
             continue
@@ -92,34 +123,32 @@ def read_cores_csv(stream: TextIO) -> DecompositionResult:
         try:
             k, t_s, t_e, size, members = row
             labels = members.split(MEMBER_SEPARATOR) if members else []
-            start, end = int(t_s), int(t_e)
-            if int(size) != len(labels):
-                problem = f"size field {size} disagrees with {len(labels)} members"
-            elif not 0 <= start <= end:
-                problem = _span_problem(start, end)
-            else:
-                rows.append((int(k), start, end, labels))
+            if int(size) == len(labels):
+                yield reader.line_num, int(k), int(t_s), int(t_e), labels, members
                 continue
+            problem = f"size field {size} disagrees with {len(labels)} members"
         except ValueError:
             if len(row) != len(CORE_CSV_HEADER):
                 problem = f"expected {len(CORE_CSV_HEADER)} fields, got {len(row)}"
             else:
                 problem = "k, t_s, t_e and size must be integers"
         raise ValueError(f"core file line {reader.line_num}: {problem}")
-    return _result_from_rows(rows)
 
 
 def read_cores_jsonl(stream: TextIO) -> DecompositionResult:
-    rows = []
+    return _result_from_rows(_jsonl_rows(stream))
+
+
+def _jsonl_rows(stream: TextIO) -> Iterator[Row]:
     for line_number, line in enumerate(stream, start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            rows.append(_jsonl_row(json.loads(line)))
+            k, t_s, t_e, labels = _jsonl_row(json.loads(line))
         except ValueError as error:
             raise ValueError(f"core file line {line_number}: {error}") from None
-    return _result_from_rows(rows)
+        yield line_number, k, t_s, t_e, labels, MEMBER_SEPARATOR.join(labels)
 
 
 def _jsonl_row(record) -> tuple[int, int, int, list[str]]:
@@ -131,11 +160,12 @@ def _jsonl_row(record) -> tuple[int, int, int, list[str]]:
     numbers = [record[key] for key in ("k", "t_s", "t_e")]
     if not all(type(n) is int for n in numbers):
         raise ValueError("k, t_s and t_e must be integers")
-    if not 0 <= numbers[1] <= numbers[2]:
-        raise ValueError(_span_problem(numbers[1], numbers[2]))
     members = record["members"]
     if not isinstance(members, list) or not all(isinstance(m, str) for m in members):
         raise ValueError("members must be a list of labels")
+    for label in members:
+        if MEMBER_SEPARATOR in label:
+            raise ValueError(f"member {label!r} holds the member separator {MEMBER_SEPARATOR!r}")
     return (*numbers, members)
 
 

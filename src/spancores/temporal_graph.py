@@ -9,7 +9,7 @@ alongside so inputs and outputs can speak the caller's vocabulary.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from functools import total_ordering
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 Edge = tuple[int, int]
@@ -34,18 +34,39 @@ class ContactParseError(ValueError):
         self.reason = reason
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class Interval:
-    """Inclusive timestamp range [start, end]."""
+    """Inclusive timestamp range [start, end].
 
-    start: int
-    end: int
+    Equal intervals hash alike and order by (start, end). Intervals key
+    dicts and sets, so never assign to a field after construction.
+    """
 
-    def __post_init__(self):
-        if self.start < 0:
-            raise ValueError(f"interval start must be >= 0, got {self.start}")
-        if self.end < self.start:
-            raise ValueError(f"interval end {self.end} precedes start {self.start}")
+    __slots__ = ("start", "end")
+
+    def __init__(self, start: int, end: int):
+        if start < 0:
+            raise ValueError(f"interval start must be >= 0, got {start}")
+        if end < start:
+            raise ValueError(f"interval end {end} precedes start {start}")
+        self.start = start
+        self.end = end
+
+    def __eq__(self, other):
+        if other.__class__ is not Interval:
+            return NotImplemented
+        return self.start == other.start and self.end == other.end
+
+    def __hash__(self) -> int:
+        return hash((self.start, self.end))
+
+    def __lt__(self, other: "Interval") -> bool:
+        if other.__class__ is not Interval:
+            return NotImplemented
+        return (self.start, self.end) < (other.start, other.end)
+
+    def __repr__(self) -> str:
+        return f"Interval(start={self.start}, end={self.end})"
 
     @property
     def width(self) -> int:

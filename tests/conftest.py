@@ -132,6 +132,17 @@ def k_core(labeling, k: int) -> frozenset[int]:
     return frozenset(u for u, c in labeling.coreness.items() if c >= k)
 
 
+def dominates(first: SpanCore, second: SpanCore) -> bool:
+    """True if `first` has at least the order of `second` and covers its span.
+
+    The two cores must differ in (order, span); comparing a core against
+    itself is a caller bug.
+    """
+    if first.order == second.order and first.span == second.span:
+        raise ValueError("dominance is only defined between distinct (order, span) pairs")
+    return first.order >= second.order and first.span.contains(second.span)
+
+
 def fixed_point_core(vertex_count: int, edges: frozenset, k: int) -> frozenset[int]:
     """Maximal set where everyone keeps >= k neighbors, by repeated deletion."""
     members = set(range(vertex_count))

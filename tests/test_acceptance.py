@@ -23,7 +23,6 @@ from spancores import (
     canonical_dump,
     contact_lines,
     detect_anomalies,
-    dominates,
     edges_in_interval,
     innermost_core,
     maximal_span_cores,
@@ -36,6 +35,7 @@ from spancores.cli import main as cli_main
 from .conftest import (
     as_triples,
     community_temporal_graph,
+    dominates,
     oracle_maximal,
     oracle_span_cores,
     planted_clique_graph,

@@ -269,6 +269,13 @@ class TestErrorsAndDeterminism:
         ('{"k": 1,', "line 2: "),
         ('{"k": 1, "t_s": 3, "t_e": 1, "members": ["a", "b"]}', "line 2: interval [3,1]"),
         ('{"k": 1, "t_s": -1, "t_e": 0, "members": ["a", "b"]}', "line 2: interval [-1,0]"),
+        ('{"k": 1, "t_s": 0, "t_e": 1, "members": ["a", "a"]}', "line 2: member 'a' is listed twice"),
+        ('{"k": 0, "t_s": 0, "t_e": 1, "members": ["a"]}', "line 2: order 0 must be at least 1"),
+        ('{"k": 1, "t_s": 0, "t_e": 1, "members": []}', "line 2: a core needs at least one member"),
+        ('{"k": 1, "t_s": 0, "t_e": 0, "members": ["a", "c"]}',
+         "line 2: a second core of order 1 over [0,0]"),
+        ('{"k": 1, "t_s": 0, "t_e": 1, "members": ["a;b"]}',
+         "line 2: member 'a;b' holds the member separator ';'"),
     ])
     def test_malformed_jsonl_core_file_exits_2(self, tmp_path, capsys, line, message):
         path = tmp_path / "cores.jsonl"
@@ -297,6 +304,10 @@ class TestErrorsAndDeterminism:
         ("1,0,0,3,a;b", "line 3: size field 3 disagrees with 2 members"),
         ("1,3,1,2,a;b", "line 3: interval [3,1] needs 0 <= t_s <= t_e"),
         ("1,-1,0,2,a;b", "line 3: interval [-1,0] needs 0 <= t_s <= t_e"),
+        ("1,0,1,2,a;a", "line 3: member 'a' is listed twice"),
+        ("0,0,1,1,a", "line 3: order 0 must be at least 1"),
+        ("1,0,1,0,", "line 3: a core needs at least one member"),
+        ("1,0,0,2,a;c", "line 3: a second core of order 1 over [0,0]"),
     ])
     def test_malformed_csv_core_file_exits_2(self, tmp_path, capsys, row, message):
         path = tmp_path / "cores.csv"
@@ -304,6 +315,43 @@ class TestErrorsAndDeterminism:
         assert run("stats", "--cores", path, "--out", tmp_path / "o") == 2
         error = capsys.readouterr().err.strip().splitlines()
         assert len(error) == 1 and message in error[0]
+
+    def test_bad_positive_timestamp_names_file_and_line(self, tmp_path, capsys):
+        contacts = tmp_path / "contacts.txt"
+        contacts.write_text(G_EX_CONTACTS)
+        positives = tmp_path / "positives.txt"
+        positives.write_text("0\n\nx\n")
+        assert run("anomaly", "--input", contacts, "--tr", 1, "--positives", positives,
+                   "--out", tmp_path / "o") == 2
+        error = capsys.readouterr().err.strip().splitlines()
+        assert error[-1] == f"error: {positives} line 3: expected an integer timestamp, got 'x'"
+
+    @pytest.mark.parametrize("table, message", [
+        ("name,dept\na,P\n", "line 1: attribute CSV must start with 'label,<attr>,...'"),
+        ("label,dept\na,P\nb\n", "line 3: attribute row ['b'] does not match header width"),
+        ("label,dept\na,P\nb,Q,R\n", "line 3: attribute row ['b', 'Q', 'R'] does not match"),
+    ])
+    def test_bad_attribute_row_names_file_and_line(self, contact_file, tmp_path, capsys,
+                                                   table, message):
+        assert run("maximal", "--input", contact_file, "--out", tmp_path) == 0
+        capsys.readouterr()
+        attrs = tmp_path / "attrs.csv"
+        attrs.write_text(table)
+        assert run("purity", "--cores", tmp_path / "maximal.csv", "--attributes", attrs,
+                   "--attribute", "dept", "--out", tmp_path / "o") == 2
+        error = capsys.readouterr().err.strip().splitlines()
+        assert len(error) == 1 and error[0].startswith(f"error: {attrs} {message}")
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_artifacts_get_the_mode_the_umask_allows(self, contact_file, tmp_path,
+                                                     umask, mode):
+        previous = os.umask(umask)
+        try:
+            assert run("decompose", "--input", contact_file, "--out", tmp_path / "o") == 0
+        finally:
+            os.umask(previous)
+        for name in ("cores.csv", "metrics.json", "run-manifest.json"):
+            assert (tmp_path / "o" / name).stat().st_mode & 0o777 == mode
 
     def test_files_are_utf8_whatever_the_locale(self, tmp_path):
         path = tmp_path / "accented.txt"

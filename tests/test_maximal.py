@@ -9,14 +9,19 @@ from spancores import (
     MaximalTrace,
     SpanCore,
     TemporalGraph,
-    dominates,
     edges_in_interval,
     innermost_core,
     maximal_span_cores,
     naive_maximal_span_cores,
     span_cores,
 )
-from .conftest import as_triples, oracle_maximal, oracle_span_cores, random_temporal_graph
+from .conftest import (
+    as_triples,
+    dominates,
+    oracle_maximal,
+    oracle_span_cores,
+    random_temporal_graph,
+)
 
 G_EX_MAXIMAL = {
     (2, (0, 1), frozenset({0, 1, 2})),

@@ -8,7 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spancores import ingest_contacts, maximal_span_cores, naive_span_cores, span_cores
+from spancores import (
+    AttributeTable,
+    activity_grid,
+    ingest_contacts,
+    maximal_span_cores,
+    naive_span_cores,
+    purity_curve,
+    span_cores,
+    stats_by_order,
+    stats_by_span,
+)
 from spancores.serialize import (
     cores_to_csv,
     cores_to_jsonl,
@@ -18,8 +28,7 @@ from spancores.serialize import (
     read_cores_jsonl,
     table_to_csv,
 )
-from .conftest import writable_label
-from .conftest import as_triples
+from .conftest import as_triples, gappy_temporal_graphs, random_temporal_graph, writable_label
 
 
 class TestCsv:
@@ -94,6 +103,66 @@ def test_every_accepted_label_reads_back(labels):
     result = span_cores(g)
     for fmt, text in (("csv", cores_to_csv(result)), ("jsonl", cores_to_jsonl(result))):
         assert _labelled(read_cores(io.StringIO(text), fmt)) == _labelled(result)
+
+
+class TestReadBack:
+    CSV = "k,t_s,t_e,size,members\n1,0,0,3,b;c;d\n2,0,0,2,a;b\n"
+
+    def test_summaries_leave_labels_unnumbered(self):
+        loaded = read_cores_csv(io.StringIO(self.CSV))
+        assert stats_by_order(loaded) == [(1, 1, 3.0), (2, 1, 2.0)]
+        assert stats_by_span(loaded) == [(1, 2, 2.5)]
+        assert activity_grid(loaded) == {(0, 1): 2}
+        assert [loaded.member_labels(c) for c in loaded.cores] == [["b", "c", "d"], ["a", "b"]]
+        assert loaded._labels is None
+
+    def test_labels_are_numbered_in_order_of_first_appearance(self):
+        loaded = read_cores_csv(io.StringIO(self.CSV))
+        assert [c.members for c in loaded.cores] == [frozenset({0, 1, 2}), frozenset({3, 0})]
+        assert loaded.labels == ("b", "c", "d", "a")
+        assert [c.size for c in loaded.cores] == [3, 2]
+
+    def test_repeated_core_out_of_order_names_its_line(self):
+        text = "k,t_s,t_e,size,members\n1,0,1,1,a\n1,0,0,1,a\n1,0,1,1,b\n"
+        with pytest.raises(ValueError, match="line 4: a second core of order 1 over \\[0,1\\]"):
+            read_cores_csv(io.StringIO(text))
+
+
+def _shuffled_records(text: str, fmt: str, rng) -> str:
+    lines = text.splitlines(keepends=True)
+    header = lines.pop(0) if fmt == "csv" else ""
+    rng.shuffle(lines)
+    return header + "".join(lines)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(
+           st.randoms(use_true_random=False).map(
+               lambda rng: random_temporal_graph(rng, max_vertices=12, max_timestamps=12)),
+           gappy_temporal_graphs(),
+       ),
+       st.sampled_from([span_cores, maximal_span_cores]),
+       st.sampled_from(["csv", "jsonl"]),
+       st.randoms(use_true_random=False))
+def test_read_back_result_behaves_like_the_engine_result(g, engine, fmt, rng):
+    result = engine(g)
+    text = cores_to_csv(result) if fmt == "csv" else cores_to_jsonl(result)
+    loaded = read_cores(io.StringIO(text), fmt)
+
+    assert stats_by_order(loaded) == stats_by_order(result)
+    assert stats_by_span(loaded) == stats_by_span(result)
+    for min_span in (1, 2):
+        assert activity_grid(loaded, min_span) == activity_grid(result, min_span)
+    attrs = AttributeTable(["color"], {label: {"color": rng.choice("rgb")}
+                                       for label in g.labels if rng.random() < 0.8})
+    assert purity_curve(loaded, attrs, "color") == purity_curve(result, attrs, "color")
+    assert cores_to_csv(loaded) == cores_to_csv(result)
+    assert cores_to_jsonl(loaded) == cores_to_jsonl(result)
+
+    shuffled = read_cores(io.StringIO(_shuffled_records(text, fmt, rng)), fmt)
+    assert cores_to_csv(shuffled) == cores_to_csv(result)
+    assert as_triples(shuffled) == as_triples(loaded)
+    assert shuffled.labels == loaded.labels
 
 
 class TestMetrics:
