@@ -31,7 +31,6 @@ from .temporal_graph import (
     EdgeDiffSets,
     Interval,
     TemporalGraph,
-    canonical_dump,
     contact_lines,
     edge_diff_sets,
     edges_in_interval,
@@ -56,7 +55,6 @@ __all__ = [
     "TemporalGraph",
     "TraceStep",
     "activity_grid",
-    "canonical_dump",
     "contact_lines",
     "core_decomposition",
     "detect_anomalies",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, TextIO
 
 from .core_kernel import core_decomposition
-from .span_cores import DecompositionResult
+from .span_cores import DecompositionResult, kernel_vertices
 from .temporal_graph import Edge, Interval, TemporalGraph, edges_in_interval
 
 
@@ -148,7 +148,7 @@ def _reshuffle_edges(edges: frozenset[Edge], rng: random.Random) -> set[Edge]:
     budget = 10 * len(pool)
     while len(pool) >= 2 and budget > 0:
         budget -= 1
-        i, j = rng.sample(range(len(pool)), 2)
+        i, j = _draw_pair(rng, len(pool))
         u, v = pool[i]
         w, z = pool[j]
         if u in (w, z) or v in (w, z):
@@ -166,9 +166,33 @@ def _reshuffle_edges(edges: frozenset[Edge], rng: random.Random) -> set[Edge]:
     return current
 
 
+def _draw_pair(rng: random.Random, n: int) -> tuple[int, int]:
+    """Two distinct indices below n, drawn as `rng.sample(range(n), 2)` draws them.
+
+    This copies the two branches CPython 3.11's `sample` takes for k=2: up
+    to 21 items it swaps the first pick out of a pool, above that it redraws
+    the second pick on a collision. The two `randrange` calls skip the rest
+    of `sample`'s set-up but draw the same numbers, so the shuffled bytes
+    stay the same.
+    """
+    i = rng.randrange(n)
+    if n <= 21:
+        j = rng.randrange(n - 1)
+        if j == i:
+            j = n - 1
+    else:
+        j = rng.randrange(n)
+        while j == i:
+            j = rng.randrange(n)
+    return i, j
+
+
 @dataclass
 class AnomalyReport:
-    """Outcome of span-core anomaly detection on a contact log."""
+    """Outcome of span-core anomaly detection on a contact log.
+
+    removed_contacts holds one count per non-empty timestamp of the log.
+    """
 
     anomalous_intervals: frozenset[Interval]
     anomalous_vertices_by_time: dict[int, frozenset[int]]
@@ -178,7 +202,8 @@ class AnomalyReport:
 
 
 def _order_one_core(g: TemporalGraph, interval: Interval) -> frozenset[int]:
-    labeling = core_decomposition(range(g.vertex_count), edges_in_interval(g, interval))
+    edges = edges_in_interval(g, interval)
+    labeling = core_decomposition(kernel_vertices(g, edges), edges)
     return frozenset(labeling.coreness)
 
 
@@ -209,9 +234,7 @@ def detect_anomalies(g: TemporalGraph, maximal: DecompositionResult, tr: int,
         for t in interval.timestamps():
             anomalous_by_time[t].update(members)
 
-    # Every timestamp gets a count, so the report reads the same however
-    # sparse the log is.
-    removed_counts = dict.fromkeys(range(g.t_max + 1), 0)
+    removed_counts = dict.fromkeys(g.nonempty_times, 0)
     kept: dict[int, Iterable[Edge]] = {}
     for t in g.nonempty_times:
         edges = g.edges_at(t)

@@ -31,10 +31,14 @@ class TraceStep(NamedTuple):
 
 @dataclass
 class MaximalTrace:
-    """Optional instrumentation: interval visits in processing order."""
+    """Optional instrumentation: interval visits in processing order.
+
+    final_k_prime maps each non-empty timestamp to the lower bound k' the
+    engine held for it when the run ended.
+    """
 
     steps: list[TraceStep] = field(default_factory=list)
-    final_k_prime: list[int] = field(default_factory=list)
+    final_k_prime: dict[int, int] = field(default_factory=dict)
 
 
 def naive_maximal_span_cores(g: TemporalGraph) -> DecompositionResult:
@@ -161,7 +165,7 @@ def maximal_span_cores(g: TemporalGraph, trace: MaximalTrace | None = None) -> D
                     TraceStep(t_s, t_e, bound, len(candidates), order, accepted)
                 )
     if trace is not None:
-        trace.final_k_prime = [k_prime.get(t, 0) for t in range(g.t_max + 1)]
+        trace.final_k_prime = k_prime
     metrics.elapsed = time.perf_counter() - started
     cores.sort(key=SpanCore.sort_key)
     return DecompositionResult(tuple(cores), g.labels, metrics)

@@ -88,8 +88,10 @@ def _result_from_rows(rows: Iterable[Row]) -> DecompositionResult:
             problem = _span_problem(t_s, t_e)
         elif not size:
             problem = "a core needs at least one member"
-        elif len(set(labels)) != size:
+        elif len(distinct := set(labels)) != size:
             problem = f"member {Counter(labels).most_common(1)[0][0]!r} is listed twice"
+        elif "" in distinct:
+            problem = "empty member label"
         elif key == last or (seen is not None and key in seen):
             problem = f"a second core of order {k} over [{t_s},{t_e}]"
         else:

@@ -349,22 +349,6 @@ def edge_diff_sets(g: TemporalGraph, start: int) -> EdgeDiffSets | None:
     return EdgeDiffSets(t, tuple(removed))
 
 
-def canonical_dump(g: TemporalGraph) -> str:
-    """Stable textual form: one "t: (u,v) (u,v)" line per timestamp.
-
-    Edge endpoints and edges are ordered lexicographically by label, so two
-    graphs are equal iff their dumps are byte-identical.
-    """
-    lines = []
-    for t in range(g.t_max + 1):
-        pairs = sorted(
-            tuple(sorted((g.label_of(u), g.label_of(v)))) for u, v in g.edges_at(t)
-        )
-        rendered = "".join(f" ({a},{b})" for a, b in pairs)
-        lines.append(f"{t}:{rendered}")
-    return "\n".join(lines) + "\n"
-
-
 def contact_lines(g: TemporalGraph) -> Iterator[str]:
     """Render the graph as re-ingestable contact lines "u v t".
 

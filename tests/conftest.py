@@ -143,6 +143,22 @@ def dominates(first: SpanCore, second: SpanCore) -> bool:
     return first.order >= second.order and first.span.contains(second.span)
 
 
+def canonical_dump(g: TemporalGraph) -> str:
+    """Stable textual form: one "t: (u,v) (u,v)" line per timestamp.
+
+    Edge endpoints and edges are ordered lexicographically by label, so two
+    graphs are equal iff their dumps are byte-identical.
+    """
+    lines = []
+    for t in range(g.t_max + 1):
+        pairs = sorted(
+            tuple(sorted((g.label_of(u), g.label_of(v)))) for u, v in g.edges_at(t)
+        )
+        rendered = "".join(f" ({a},{b})" for a, b in pairs)
+        lines.append(f"{t}:{rendered}")
+    return "\n".join(lines) + "\n"
+
+
 def fixed_point_core(vertex_count: int, edges: frozenset, k: int) -> frozenset[int]:
     """Maximal set where everyone keeps >= k neighbors, by repeated deletion."""
     members = set(range(vertex_count))

@@ -20,7 +20,6 @@ import pytest
 from spancores import (
     Interval,
     MaximalTrace,
-    canonical_dump,
     contact_lines,
     detect_anomalies,
     edges_in_interval,
@@ -34,6 +33,7 @@ from spancores import (
 from spancores.cli import main as cli_main
 from .conftest import (
     as_triples,
+    canonical_dump,
     community_temporal_graph,
     dominates,
     oracle_maximal,
@@ -146,7 +146,7 @@ def test_criterion_3_worked_example_is_reproduced_exactly(g_ex, criterion):
         assert {(c.order, (c.span.start, c.span.end)) for c in maximal.cores} \
             == {(2, (0, 1)), (1, (0, 2))}
         assert [s.lower_bound for s in trace.steps if s.t_s == 0] == [0, 1, 2]
-        assert trace.final_k_prime == [2, 2, 1]
+        assert trace.final_k_prime == {0: 2, 1: 2, 2: 1}
 
 
 def test_criterion_4_containment_holds_everywhere(corpus, criterion):

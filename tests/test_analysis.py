@@ -15,7 +15,6 @@ from spancores import (
     SpanCore,
     TemporalGraph,
     activity_grid,
-    canonical_dump,
     detect_anomalies,
     maximal_span_cores,
     naive_span_cores,
@@ -26,7 +25,13 @@ from spancores import (
     stats_by_order,
     stats_by_span,
 )
-from .conftest import planted_clique_graph, random_temporal_graph, ratio_fixture_graph
+from spancores.analysis import _draw_pair
+from .conftest import (
+    canonical_dump,
+    planted_clique_graph,
+    random_temporal_graph,
+    ratio_fixture_graph,
+)
 
 
 class TestStats:
@@ -210,6 +215,15 @@ class TestReshuffle:
         shuffled = reshuffle_timestamps(g, seed=0)
         # one edge, or two edges sharing a vertex: nothing can move
         assert canonical_dump(shuffled) == canonical_dump(g)
+
+    def test_pair_draw_matches_sample(self):
+        # Both branches of sample: the pool swap up to 21 items, the redraw above.
+        for n in range(2, 61):
+            for seed in range(40):
+                fast, slow = random.Random(seed), random.Random(seed)
+                for _ in range(25):
+                    assert _draw_pair(fast, n) == tuple(slow.sample(range(n), 2))
+                assert fast.getstate() == slow.getstate()
 
 
 class TestDetectAnomalies:

@@ -41,3 +41,51 @@ def test_read_hook_counts_every_record(monkeypatch, g_ex):
             cli.read_cores(io.StringIO(text), fmt)
         assert rows == 9
         assert hooks.counts["serialize.records_read"] == rows
+
+
+# A triangle over [0,1], sparse timestamps 5 and 9 and a dense one at 7, with
+# empty runs between: the seeds take both vertex sets of the kernel, and the
+# anomaly pass decomposes the flagged interval [0,1].
+GAPPY_CONTACTS = """\
+a b 0
+b c 0
+a c 0
+a b 1
+b c 1
+a c 1
+d e 5
+f g 5
+d e 7
+e f 7
+f g 7
+g h 7
+h i 7
+a b 9
+"""
+
+
+def test_traced_pipeline_counts_every_kernel_call(monkeypatch, tmp_path):
+    """decompose, anomaly and shuffle run under the tracer, which takes len() of kernel inputs."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    from spancores import cli
+
+    contacts = tmp_path / "contacts.txt"
+    contacts.write_text(GAPPY_CONTACTS)
+    hooks = tracer.Tracer()
+    hooks.prepare()
+    with hooks.active():
+        for step in (["decompose"], ["anomaly", "--tr", "1"], ["shuffle"]):
+            argv = [*step, "--input", str(contacts), "--out", str(tmp_path / step[0])]
+            assert cli.main(argv) == 0
+    counts = hooks.counts
+    assert counts["span_cores.core_decomposition"] == 6  # five seeds, and [0,1]
+    assert counts["analysis.core_decomposition"] == 1
+    for key in ("kernel.vertices_in", "kernel.edges_in", "kernel.labelled"):
+        assert type(counts[key]) is int and counts[key] > 0
+    # Beside the direct engine's candidates: endpoints only for the seeds at
+    # 0, 1, 5, 9 and for the anomaly pass's [0,1], all nine vertices for the
+    # dense seed at 7, and the candidates of [0,1].
+    assert (counts["kernel.vertices_in"] - counts["maximal.processed_vertices"]
+            == 3 + 3 + 4 + 2 + 3 + 9 + 3)

@@ -10,9 +10,9 @@ from pathlib import Path
 import pytest
 
 import spancores
-from spancores import canonical_dump, ingest_contacts, parse_contact_lines
+from spancores import ingest_contacts, parse_contact_lines
 from spancores.cli import main
-from .conftest import planted_clique_graph, ratio_fixture_graph
+from .conftest import canonical_dump, planted_clique_graph, ratio_fixture_graph
 
 G_EX_CONTACTS = """\
 # worked example, pre-discretized
@@ -276,6 +276,7 @@ class TestErrorsAndDeterminism:
          "line 2: a second core of order 1 over [0,0]"),
         ('{"k": 1, "t_s": 0, "t_e": 1, "members": ["a;b"]}',
          "line 2: member 'a;b' holds the member separator ';'"),
+        ('{"k": 1, "t_s": 0, "t_e": 0, "members": [""]}', "line 2: empty member label"),
     ])
     def test_malformed_jsonl_core_file_exits_2(self, tmp_path, capsys, line, message):
         path = tmp_path / "cores.jsonl"
@@ -308,6 +309,7 @@ class TestErrorsAndDeterminism:
         ("0,0,1,1,a", "line 3: order 0 must be at least 1"),
         ("1,0,1,0,", "line 3: a core needs at least one member"),
         ("1,0,0,2,a;c", "line 3: a second core of order 1 over [0,0]"),
+        ("1,0,0,2,a;", "line 3: empty member label"),
     ])
     def test_malformed_csv_core_file_exits_2(self, tmp_path, capsys, row, message):
         path = tmp_path / "cores.csv"
@@ -445,10 +447,12 @@ class TestSparseTimeAxis:
         finally:
             tracemalloc.stop()
 
-    @pytest.mark.parametrize("command", ["decompose", "maximal", "shuffle"])
+    @pytest.mark.parametrize("command", ["decompose", "maximal", "shuffle", "anomaly"])
     def test_far_future_contact(self, far_file, tmp_path, command):
         out = tmp_path / "out"
-        assert self._peak_bytes(command, "--input", far_file, "--out", out) < 4 * 2 ** 20
+        extra = ("--tr", 1) if command == "anomaly" else ()
+        assert self._peak_bytes(command, "--input", far_file, "--out", out,
+                                *extra) < 4 * 2 ** 20
 
     def test_core_file_tools_on_far_future_cores(self, far_file, tmp_path):
         out = tmp_path / "out"

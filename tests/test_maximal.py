@@ -75,7 +75,7 @@ class TestFixture:
         assert [step.candidate_count for step in first_sweep] == [2, 3, 1]
         assert [step.order for step in first_sweep] == [1, 2, 0]
         assert [step.accepted for step in first_sweep] == [True, True, False]
-        assert trace.final_k_prime == [2, 2, 1]
+        assert trace.final_k_prime == {0: 2, 1: 2, 2: 1}
 
 
 class TestEngineProperties:

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spancores import (
-    canonical_dump,
     contact_lines,
     detect_anomalies,
     maximal_span_cores,
@@ -23,6 +22,7 @@ from spancores import (
 )
 from .conftest import (
     as_triples,
+    canonical_dump,
     gappy_temporal_graphs,
     oracle_maximal,
     oracle_span_cores,
@@ -53,8 +53,7 @@ def test_null_model_matches_reference(g, seed):
 
 def _report_fields(report):
     return (report.anomalous_intervals, report.anomalous_vertices_by_time,
-            report.removed_contacts, report.dropped_timestamps,
-            canonical_dump(report.surviving))
+            report.dropped_timestamps, canonical_dump(report.surviving))
 
 
 @settings(max_examples=100, deadline=None)
@@ -65,6 +64,11 @@ def test_anomaly_pass_and_scores_match_reference(g, tr, ratio, data):
     report = detect_anomalies(g, maximal, tr=tr, ratio=ratio)
     expected = reference_detect_anomalies(g, maximal, tr=tr, ratio=ratio)
     assert _report_fields(report) == _report_fields(expected)
+    # The report counts removals only at non-empty timestamps, where the
+    # reference's dense counts must agree; nothing is removed elsewhere.
+    assert report.removed_contacts == {t: expected.removed_contacts[t] for t in g.nonempty_times}
+    assert not any(count for t, count in expected.removed_contacts.items()
+                   if t not in report.removed_contacts)
     positives = data.draw(st.sets(st.integers(0, g.t_max)))
     assert (precision_recall(g, report, positives)
             == reference_precision_recall(g, expected, positives))

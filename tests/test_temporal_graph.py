@@ -10,7 +10,6 @@ from spancores import (
     ContactParseError,
     Interval,
     TemporalGraph,
-    canonical_dump,
     contact_lines,
     edge_diff_sets,
     edges_in_interval,
@@ -18,6 +17,7 @@ from spancores import (
     parse_contact_lines,
 )
 from .conftest import (
+    canonical_dump,
     interval_edges,
     random_temporal_graph,
     reference_ingest_contacts,
