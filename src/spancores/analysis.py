@@ -8,10 +8,11 @@ span-core-based anomaly detection on contact logs.
 from __future__ import annotations
 
 import csv
+import math
 import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, TextIO
+from typing import Iterable, Mapping, TextIO
 
 from .core_kernel import core_decomposition
 from .span_cores import DecompositionResult, kernel_vertices
@@ -139,10 +140,10 @@ def reshuffle_timestamps(g: TemporalGraph, seed: int = 0) -> TemporalGraph:
             shuffled[t] = edges  # nothing to swap, so no draw
         else:
             shuffled[t] = _reshuffle_edges(edges, random.Random(seed * _SEED_MIX + t))
-    return TemporalGraph.from_timestamps(g.labels, g.t_max, shuffled)
+    return TemporalGraph._from_canonical(g.labels, g.t_max, shuffled)
 
 
-def _reshuffle_edges(edges: frozenset[Edge], rng: random.Random) -> set[Edge]:
+def _reshuffle_edges(edges: frozenset[Edge], rng: random.Random) -> frozenset[Edge]:
     current = set(edges)
     pool = sorted(edges)  # deterministic draw order
     budget = 10 * len(pool)
@@ -163,7 +164,7 @@ def _reshuffle_edges(edges: frozenset[Edge], rng: random.Random) -> set[Edge]:
         current.add(second)
         for index in sorted((i, j), reverse=True):
             pool.pop(index)
-    return current
+    return frozenset(current)
 
 
 def _draw_pair(rng: random.Random, n: int) -> tuple[int, int]:
@@ -208,57 +209,50 @@ def _order_one_core(g: TemporalGraph, interval: Interval) -> frozenset[int]:
 
 
 def detect_anomalies(g: TemporalGraph, maximal: DecompositionResult, tr: int,
-                     ratio: float | None = None,
-                     span_cores_of: Callable[[Interval], frozenset[int]] | None = None,
-                     ) -> AnomalyReport:
+                     ratio: float | None = None) -> AnomalyReport:
     """Flag and strip contacts tied to suspiciously long-lived cores.
 
     Intervals of maximal cores wider than tr are anomalous. At each
     timestamp such an interval covers, every vertex of its order-1 core is
     anomalous, and contacts touching an anomalous vertex are removed. With a
-    ratio, a second pass drops whole timestamps where original/surviving
-    contact counts exceed it (a timestamp filtered to zero counts as
-    infinite).
+    ratio, which must be positive and finite, whole timestamps are dropped
+    where original/surviving contact counts exceed it (a timestamp filtered
+    to zero counts as infinite).
     """
     if tr < 1:
         raise ValueError(f"tr must be >= 1, got {tr}")
-    if ratio is not None and ratio <= 0:
-        raise ValueError(f"ratio must be positive, got {ratio}")
-    if span_cores_of is None:
-        span_cores_of = lambda interval: _order_one_core(g, interval)
+    if ratio is not None and not 0 < ratio < math.inf:
+        raise ValueError(f"ratio must be positive and finite, got {ratio}")
 
     intervals = frozenset(c.span for c in maximal.cores if c.span.width > tr)
-    flagged_members = {interval: span_cores_of(interval) for interval in sorted(intervals)}
     anomalous_by_time: dict[int, set[int]] = defaultdict(set)
-    for interval, members in flagged_members.items():
+    for interval in sorted(intervals):
+        members = _order_one_core(g, interval)
         for t in interval.timestamps():
             anomalous_by_time[t].update(members)
 
     removed_counts = dict.fromkeys(g.nonempty_times, 0)
-    kept: dict[int, Iterable[Edge]] = {}
+    kept: dict[int, frozenset[Edge]] = {}
+    dropped: set[int] = set()
     for t in g.nonempty_times:
         edges = g.edges_at(t)
         flagged = anomalous_by_time.get(t)
         if flagged:
-            surviving = {e for e in edges if e[0] not in flagged and e[1] not in flagged}
+            surviving = frozenset(e for e in edges if e[0] not in flagged and e[1] not in flagged)
             removed_counts[t] = len(edges) - len(surviving)
-            kept[t] = surviving
         else:
-            kept[t] = edges
-
-    dropped: set[int] = set()
-    if ratio is not None:
-        for t in g.nonempty_times:
-            if not kept[t] or len(g.edges_at(t)) / len(kept[t]) > ratio:
-                dropped.add(t)
-                kept[t] = ()
+            surviving = edges
+        if ratio is not None and (not surviving or len(edges) / len(surviving) > ratio):
+            dropped.add(t)
+        elif surviving:
+            kept[t] = surviving
 
     return AnomalyReport(
         anomalous_intervals=intervals,
         anomalous_vertices_by_time={t: frozenset(vs) for t, vs in sorted(anomalous_by_time.items())},
         removed_contacts=removed_counts,
         dropped_timestamps=frozenset(dropped),
-        surviving=TemporalGraph.from_timestamps(g.labels, g.t_max, kept),
+        surviving=TemporalGraph._from_canonical(g.labels, g.t_max, kept),
     )
 
 

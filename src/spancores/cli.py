@@ -99,10 +99,6 @@ def _load_graph(args: argparse.Namespace):
     return graph
 
 
-def _core_file(out_dir: Path, stem: str, fmt: str) -> Path:
-    return out_dir / f"{stem}.{fmt}"
-
-
 def _run_engine(engine, graph, bench: bool):
     result = engine(graph)
     if not bench:
@@ -123,35 +119,25 @@ def _run_engine(engine, graph, bench: bool):
     return result, bench_payload
 
 
-def _emit_core_outputs(out_dir: Path, stem: str, result, fmt: str, maximal: bool,
-                       bench_payload) -> None:
-    if fmt == "csv":
-        _write_atomic(_core_file(out_dir, stem, "csv"), cores_to_csv(result))
+def cmd_cores(args) -> int:
+    """Run `decompose` or `maximal`: the chosen engine, then its core file and metrics."""
+    graph = _load_graph(args)
+    # Looked up on every call, so that a wrapped engine is the one that runs.
+    engine = {"pruned": span_cores, "naive": naive_span_cores,
+              "direct": maximal_span_cores, "filter": naive_maximal_span_cores}[args.engine]
+    result, bench_payload = _run_engine(engine, graph, args.bench)
+    maximal = args.command == "maximal"
+    stem = "maximal" if maximal else "cores"
+    out_dir = Path(args.out)
+    if args.format == "csv":
+        _write_atomic(out_dir / f"{stem}.csv", cores_to_csv(result))
     else:
-        _write_atomic(_core_file(out_dir, stem, "jsonl"), cores_to_jsonl(result, maximal=maximal))
+        _write_atomic(out_dir / f"{stem}.jsonl", cores_to_jsonl(result, maximal=maximal))
     _write_atomic(out_dir / "metrics.json", metrics_to_json(result.metrics))
     if bench_payload is not None:
         _write_atomic(out_dir / "bench.json", json.dumps(bench_payload, indent=2) + "\n")
-    _log(f"wrote {stem}.{fmt} ({len(result.cores)} records)")
-
-
-def cmd_decompose(args) -> int:
-    graph = _load_graph(args)
-    engine = span_cores if args.engine == "pruned" else naive_span_cores
-    result, bench_payload = _run_engine(engine, graph, args.bench)
-    out_dir = Path(args.out)
-    _emit_core_outputs(out_dir, "cores", result, args.format, False, bench_payload)
-    _write_manifest(out_dir, "decompose", args)
-    return 0
-
-
-def cmd_maximal(args) -> int:
-    graph = _load_graph(args)
-    engine = maximal_span_cores if args.engine == "direct" else naive_maximal_span_cores
-    result, bench_payload = _run_engine(engine, graph, args.bench)
-    out_dir = Path(args.out)
-    _emit_core_outputs(out_dir, "maximal", result, args.format, True, bench_payload)
-    _write_manifest(out_dir, "maximal", args)
+    _log(f"wrote {stem}.{args.format} ({len(result.cores)} records)")
+    _write_manifest(out_dir, args.command, args)
     return 0
 
 
@@ -279,6 +265,14 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=".", help="output directory (default: cwd)")
 
 
+def _add_engine_flags(parser: argparse.ArgumentParser, engines: list[str], default: str) -> None:
+    parser.add_argument("--engine", choices=engines, default=default)
+    parser.add_argument("--format", choices=["csv", "jsonl"], default="csv")
+    parser.add_argument("--bench", action="store_true",
+                        help="also write bench.json with time/memory/processed-vertices")
+    parser.set_defaults(func=cmd_cores)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spancores",
@@ -290,20 +284,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="compute the full span-core decomposition")
     _add_ingest_flags(p)
     _add_output_flags(p)
-    p.add_argument("--engine", choices=["naive", "pruned"], default="pruned")
-    p.add_argument("--format", choices=["csv", "jsonl"], default="csv")
-    p.add_argument("--bench", action="store_true",
-                   help="also write bench.json with time/memory/processed-vertices")
-    p.set_defaults(func=cmd_decompose)
+    _add_engine_flags(p, ["naive", "pruned"], "pruned")
 
     p = sub.add_parser("maximal", help="compute only the maximal span-cores")
     _add_ingest_flags(p)
     _add_output_flags(p)
-    p.add_argument("--engine", choices=["filter", "direct"], default="direct")
-    p.add_argument("--format", choices=["csv", "jsonl"], default="csv")
-    p.add_argument("--bench", action="store_true",
-                   help="also write bench.json with time/memory/processed-vertices")
-    p.set_defaults(func=cmd_maximal)
+    _add_engine_flags(p, ["filter", "direct"], "direct")
 
     p = sub.add_parser("stats", help="summary tables for a core file")
     p.add_argument("--cores", required=True, help="core file from decompose/maximal")
@@ -336,7 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tr", type=int, required=True,
                    help="flag maximal cores spanning more than this many timestamps")
     p.add_argument("--ratio", type=float, default=None,
-                   help="also drop timestamps with original/filtered contacts above this")
+                   help="also drop timestamps with original/filtered contacts above this "
+                        "positive, finite ratio")
     p.add_argument("--positives", default=None,
                    help="file of known-anomalous timestamps, one per line")
     p.set_defaults(func=cmd_anomaly)

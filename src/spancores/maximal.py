@@ -4,18 +4,20 @@ A span-core is maximal when no other span-core has at least its order and an
 interval covering its own. Two routes: filter the full decomposition, or walk
 intervals directly from widest to narrowest per start time, using orders
 already established for neighboring intervals as lower bounds that prune
-both candidate vertices and whole intervals.
+both candidate vertices and whole intervals. The direct walk counts degrees
+in one list for the whole run and resets only the vertices a start time
+touched, so its replay cost follows the arriving edges, not |V| per start.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .core_kernel import innermost_core
 from .span_cores import DecompositionResult, RunMetrics, SpanCore, span_cores
-from .temporal_graph import Edge, Interval, TemporalGraph, edge_diff_sets
+from .temporal_graph import Interval, TemporalGraph, edge_diff_sets
 
 
 class TraceStep(NamedTuple):
@@ -72,45 +74,6 @@ def naive_maximal_span_cores(g: TemporalGraph) -> DecompositionResult:
     return DecompositionResult(tuple(cores), g.labels, metrics)
 
 
-class _DegreeBuckets:
-    """Vertex degrees under edge arrivals, bucketed for threshold queries.
-
-    bucket[b] accumulates every vertex whose degree has exceeded b; a vertex
-    of degree d therefore appears in buckets 0..d-1, and bucket[lb] is
-    exactly the vertex set with degree > lb. Degrees only grow here, so
-    buckets are append-only.
-    """
-
-    __slots__ = ("degree", "buckets")
-
-    def __init__(self, vertex_count: int):
-        self.degree = [0] * vertex_count
-        self.buckets: list[list[int]] = []
-
-    def add_edges(self, edges: Iterable[Edge]) -> None:
-        degree = self.degree
-        buckets = self.buckets
-        for u, v in edges:
-            # A missing bucket means the vertex reached a new maximum degree.
-            d = degree[u]
-            degree[u] = d + 1
-            try:
-                buckets[d].append(u)
-            except IndexError:
-                buckets.append([u])
-            d = degree[v]
-            degree[v] = d + 1
-            try:
-                buckets[d].append(v)
-            except IndexError:
-                buckets.append([v])
-
-    def above(self, threshold: int) -> list[int]:
-        if threshold >= len(self.buckets):
-            return []
-        return self.buckets[threshold]
-
-
 def maximal_span_cores(g: TemporalGraph, trace: MaximalTrace | None = None) -> DecompositionResult:
     """Direct engine: visit intervals widest-first within each start time.
 
@@ -129,23 +92,29 @@ def maximal_span_cores(g: TemporalGraph, trace: MaximalTrace | None = None) -> D
     # start times; it is never reset. Intervals with edges cover only
     # non-empty timestamps, so only those need an entry.
     k_prime = dict.fromkeys(g.nonempty_times, 0)
+    # Degrees in the current start's replay; only the touched vertices are
+    # ever non-zero, and they are zeroed again before the next start.
+    degree = [0] * g.vertex_count
     for t_s in g.nonempty_times:
         t_star, removed = edge_diff_sets(g, t_s)
-        edges = set(g.edges_at(t_s))
-        for dropped in removed:
-            edges -= dropped  # edges of [t_s, t_star]
-        buckets = _DegreeBuckets(g.vertex_count)
+        edges = set(g.edges_at(t_s)).difference(*removed)  # edges of [t_s, t_star]
+        touched: list[int] = []  # vertices of degree >= 1, in order of arrival
         k_trim = 0  # innermost order seen for [t_s, t_e + 1]
         for t_e in range(t_star, t_s - 1, -1):
             arriving = edges if t_e == t_star else removed[t_e - t_s]
             if t_e != t_star:
                 edges |= arriving
-            buckets.add_edges(arriving)
+            for u, v in arriving:
+                if not degree[u]:
+                    touched.append(u)
+                degree[u] += 1
+                if not degree[v]:
+                    touched.append(v)
+                degree[v] += 1
             bound = max(k_prime[t_e], k_trim)
-            candidates = buckets.above(bound)
+            candidates = [u for u in touched if degree[u] > bound] if bound else touched
             if candidates:
                 if bound:
-                    degree = buckets.degree
                     subgraph = [e for e in edges
                                 if degree[e[0]] > bound and degree[e[1]] > bound]
                 else:
@@ -164,6 +133,8 @@ def maximal_span_cores(g: TemporalGraph, trace: MaximalTrace | None = None) -> D
                 trace.steps.append(
                     TraceStep(t_s, t_e, bound, len(candidates), order, accepted)
                 )
+        for u in touched:
+            degree[u] = 0
     if trace is not None:
         trace.final_k_prime = k_prime
     metrics.elapsed = time.perf_counter() - started

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from functools import total_ordering
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 Edge = tuple[int, int]
 Contact = tuple[str, str, int]
@@ -111,32 +111,12 @@ class TemporalGraph:
     def __init__(self, labels: Sequence[str], edges_by_time: Sequence[Iterable[Edge]]):
         if not edges_by_time:
             raise ValueError("a temporal graph needs at least one timestamp")
-        self._build(labels, len(edges_by_time) - 1, enumerate(edges_by_time))
-
-    @classmethod
-    def from_timestamps(cls, labels: Sequence[str], t_max: int,
-                        edges_by_time: Mapping[int, Iterable[Edge]]) -> "TemporalGraph":
-        """Build from the edge sets of some timestamps; all others are empty.
-
-        Runs the checks of the constructor, and each key of `edges_by_time`
-        must lie in 0..t_max.
-        """
-        if t_max < 0:
-            raise ValueError("a temporal graph needs at least one timestamp")
-        g = cls.__new__(cls)
-        g._build(labels, t_max, edges_by_time.items())
-        return g
-
-    def _build(self, labels: Sequence[str], t_max: int,
-               edges_by_time: Iterable[tuple[int, Iterable[Edge]]]) -> None:
         self._labels = tuple(labels)
         if len(set(self._labels)) != len(self._labels):
             raise ValueError("duplicate vertex labels")
         n = len(self._labels)
         canon: dict[int, frozenset[Edge]] = {}
-        for t, edges in edges_by_time:
-            if not 0 <= t <= t_max:
-                raise ValueError(f"timestamp {t} outside 0..{t_max}")
+        for t, edges in enumerate(edges_by_time):
             seen: set[Edge] = set()
             for u, v in edges:
                 if u == v:
@@ -146,22 +126,24 @@ class TemporalGraph:
                 seen.add((u, v) if u < v else (v, u))
             if seen:
                 canon[t] = frozenset(seen)
-        self._t_max = t_max
+        self._t_max = len(edges_by_time) - 1
         self._edges = canon
-        self._nonempty = tuple(sorted(canon))
+        self._nonempty = tuple(canon)
 
     @classmethod
-    def _from_canonical(cls, ids: dict[str, int], t_max: int,
+    def _from_canonical(cls, labels: Iterable[str], t_max: int,
                         edges: dict[int, frozenset[Edge]]) -> "TemporalGraph":
         """Build without the checks of the constructor, for callers that already did them.
 
-        `ids` maps each label to its id in insertion order, every key of
-        `edges` lies in 0..t_max, and every value is a non-empty set of
-        ordered (low, high) pairs of known, distinct ids. Only
-        ingest_contacts calls this.
+        `labels` holds distinct labels in vertex-id order, every key of
+        `edges` lies in 0..t_max, and every value is a non-empty frozenset
+        of ordered (low, high) pairs of known, distinct ids. Three callers
+        pass such parts: ingest_contacts, which checked them itself, and
+        reshuffle_timestamps and detect_anomalies, which derive them from a
+        graph that is already valid.
         """
         g = cls.__new__(cls)
-        g._labels = tuple(ids)
+        g._labels = tuple(labels)
         g._t_max = t_max
         g._edges = edges
         g._nonempty = tuple(sorted(edges))

@@ -5,8 +5,9 @@ The oracles deliberately avoid the production kernels: k-cores come from
 fixed-point deletion and maximality from a pairwise dominance scan, so an
 engine bug cannot hide in a shared helper. The reference parser, ingest,
 null model, anomaly pass and contact writer are the straightforward versions
-that walk every timestamp, and the reference pruned engine is the queue-based
-one; the optimized ones must stay equal to them.
+that walk every timestamp, the reference pruned engine is the queue-based
+one, and the reference direct maximal engine buckets degrees per start time;
+the optimized ones must stay equal to them.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import random
 import time
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import pytest
 from hypothesis import strategies as st
@@ -23,11 +25,16 @@ from spancores import (
     AnomalyReport,
     ContactParseError,
     Interval,
+    MaximalTrace,
     TemporalGraph,
+    TraceStep,
     core_decomposition,
+    edge_diff_sets,
     edges_in_interval,
+    innermost_core,
 )
 from spancores.span_cores import DecompositionResult, RunMetrics, SpanCore, _emit_cores
+from spancores.temporal_graph import Edge
 
 OracleCore = tuple[int, tuple[int, int], frozenset[int]]
 
@@ -532,6 +539,110 @@ def reference_span_cores(g: TemporalGraph) -> DecompositionResult:
                     frontier.ever_enqueued.add(child)
             else:
                 frontier.candidates[child] = order_one
+    metrics.elapsed = time.perf_counter() - started
+    cores.sort(key=SpanCore.sort_key)
+    return DecompositionResult(tuple(cores), g.labels, metrics)
+
+
+# The direct maximal engine as it was when it bucketed vertex degrees in a
+# fresh |V|-sized list per start time; the one-degree-list engine must match
+# it core for core, count for count and trace step for trace step.
+
+class _DegreeBuckets:
+    """Vertex degrees under edge arrivals, bucketed for threshold queries.
+
+    bucket[b] accumulates every vertex whose degree has exceeded b; a vertex
+    of degree d therefore appears in buckets 0..d-1, and bucket[lb] is
+    exactly the vertex set with degree > lb. Degrees only grow here, so
+    buckets are append-only.
+    """
+
+    __slots__ = ("degree", "buckets")
+
+    def __init__(self, vertex_count: int):
+        self.degree = [0] * vertex_count
+        self.buckets: list[list[int]] = []
+
+    def add_edges(self, edges: Iterable[Edge]) -> None:
+        degree = self.degree
+        buckets = self.buckets
+        for u, v in edges:
+            # A missing bucket means the vertex reached a new maximum degree.
+            d = degree[u]
+            degree[u] = d + 1
+            try:
+                buckets[d].append(u)
+            except IndexError:
+                buckets.append([u])
+            d = degree[v]
+            degree[v] = d + 1
+            try:
+                buckets[d].append(v)
+            except IndexError:
+                buckets.append([v])
+
+    def above(self, threshold: int) -> list[int]:
+        if threshold >= len(self.buckets):
+            return []
+        return self.buckets[threshold]
+
+
+def reference_maximal_span_cores(g: TemporalGraph,
+                                 trace: MaximalTrace | None = None) -> DecompositionResult:
+    """Direct engine: visit intervals widest-first within each start time.
+
+    For a fixed start, interval edge sets are replayed from the
+    difference encoding, growing as the end moves earlier. Before
+    decomposing an interval, its innermost order is lower-bounded by the
+    orders of the two intervals that extend it (one more timestamp before
+    the start, one fewer trimmed from the end); only vertices whose degree
+    beats the bound can matter, and the interval is skipped as non-maximal
+    unless it strictly beats the bound.
+    """
+    started = time.perf_counter()
+    metrics = RunMetrics()
+    cores: list[SpanCore] = []
+    # k_prime[t] carries the innermost order of [previous start, t] across
+    # start times; it is never reset. Intervals with edges cover only
+    # non-empty timestamps, so only those need an entry.
+    k_prime = dict.fromkeys(g.nonempty_times, 0)
+    for t_s in g.nonempty_times:
+        t_star, removed = edge_diff_sets(g, t_s)
+        edges = set(g.edges_at(t_s))
+        for dropped in removed:
+            edges -= dropped  # edges of [t_s, t_star]
+        buckets = _DegreeBuckets(g.vertex_count)
+        k_trim = 0  # innermost order seen for [t_s, t_e + 1]
+        for t_e in range(t_star, t_s - 1, -1):
+            arriving = edges if t_e == t_star else removed[t_e - t_s]
+            if t_e != t_star:
+                edges |= arriving
+            buckets.add_edges(arriving)
+            bound = max(k_prime[t_e], k_trim)
+            candidates = buckets.above(bound)
+            if candidates:
+                if bound:
+                    degree = buckets.degree
+                    subgraph = [e for e in edges
+                                if degree[e[0]] > bound and degree[e[1]] > bound]
+                else:
+                    subgraph = edges  # every endpoint has degree >= 1
+                order, members = innermost_core(candidates, subgraph)
+                metrics.processed_vertices += len(candidates)
+            else:
+                order, members = 0, frozenset()
+            accepted = order > bound
+            if accepted:
+                cores.append(SpanCore(order, Interval(t_s, t_e), members))
+                metrics.cores_emitted += 1
+            k_trim = max(k_trim, order)
+            k_prime[t_e] = max(k_prime[t_e], k_trim)
+            if trace is not None:
+                trace.steps.append(
+                    TraceStep(t_s, t_e, bound, len(candidates), order, accepted)
+                )
+    if trace is not None:
+        trace.final_k_prime = k_prime
     metrics.elapsed = time.perf_counter() - started
     cores.sort(key=SpanCore.sort_key)
     return DecompositionResult(tuple(cores), g.labels, metrics)

@@ -280,21 +280,9 @@ class TestDetectAnomalies:
         maximal = maximal_span_cores(g)
         with pytest.raises(ValueError, match="tr"):
             detect_anomalies(g, maximal, tr=0)
-        with pytest.raises(ValueError, match="ratio"):
-            detect_anomalies(g, maximal, tr=5, ratio=0.0)
-
-    def test_custom_interval_resolver_is_used(self):
-        g = planted_clique_graph()
-        maximal = maximal_span_cores(g)
-        calls = []
-
-        def resolver(interval):
-            calls.append(interval)
-            return frozenset({0})
-
-        report = detect_anomalies(g, maximal, tr=5, span_cores_of=resolver)
-        assert calls == [Interval(0, 9)]
-        assert report.anomalous_vertices_by_time[0] == frozenset({0})
+        for ratio in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="ratio must be positive and finite"):
+                detect_anomalies(g, maximal, tr=5, ratio=ratio)
 
 
 class TestPrecisionRecall:

@@ -238,6 +238,16 @@ class TestAnomaly:
         report = json.loads((out / "anomaly-report.json").read_text())
         assert report["dropped_timestamps"] == [2, 5, 7]
 
+    @pytest.mark.parametrize("ratio", ["nan", "inf", "0"])
+    def test_ratio_that_is_not_positive_and_finite_exits_2(self, planted_file, tmp_path,
+                                                          capsys, ratio):
+        out = tmp_path / "out"
+        assert run("anomaly", "--input", planted_file, "--tr", 5, "--ratio", ratio,
+                   "--out", out) == 2
+        error = capsys.readouterr().err.strip().splitlines()
+        assert error[-1] == f"error: ratio must be positive and finite, got {float(ratio)}"
+        assert not out.exists()
+
 
 class TestErrorsAndDeterminism:
     def test_missing_input_fails_cleanly(self, tmp_path):

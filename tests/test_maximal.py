@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spancores import (
     Interval,
@@ -18,9 +20,11 @@ from spancores import (
 from .conftest import (
     as_triples,
     dominates,
+    gappy_temporal_graphs,
     oracle_maximal,
     oracle_span_cores,
     random_temporal_graph,
+    reference_maximal_span_cores,
 )
 
 G_EX_MAXIMAL = {
@@ -126,6 +130,19 @@ class TestEngineProperties:
             direct = maximal_span_cores(g).metrics.processed_vertices
             filtered = naive_maximal_span_cores(g).metrics.processed_vertices
             assert direct <= filtered
+
+    @settings(max_examples=200, deadline=None)
+    @given(gappy_temporal_graphs()
+           | st.integers(0, 2 ** 32).map(lambda seed: random_temporal_graph(random.Random(seed))))
+    def test_direct_engine_matches_the_bucketed_reference(self, g):
+        """Same cores, counts and trace as the engine that bucketed degrees per start."""
+        runs = []
+        for engine in (maximal_span_cores, reference_maximal_span_cores):
+            trace = MaximalTrace()
+            result = engine(g, trace=trace)
+            runs.append((result.cores, result.metrics.processed_vertices,
+                         result.metrics.cores_emitted, trace.steps, trace.final_k_prime))
+        assert runs[0] == runs[1]
 
     def test_deterministic_across_runs(self):
         rng = random.Random(12)

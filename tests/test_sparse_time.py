@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spancores import (
+    TemporalGraph,
     contact_lines,
     detect_anomalies,
     maximal_span_cores,
@@ -49,6 +50,35 @@ def test_engines_match_the_oracles(g):
 def test_null_model_matches_reference(g, seed):
     assert (canonical_dump(reshuffle_timestamps(g, seed=seed))
             == canonical_dump(reference_reshuffle_timestamps(g, seed=seed)))
+
+
+def _assert_the_constructor_builds_it(derived):
+    """A graph built without the constructor's checks must be one it builds.
+
+    The null model and the anomaly pass hand their parts straight to
+    TemporalGraph._from_canonical, so nothing else stops an empty timestamp
+    being listed as non-empty or an edge set that is not a frozenset.
+    """
+    rebuilt = TemporalGraph(derived.labels,
+                            [derived.edges_at(t) for t in range(derived.t_max + 1)])
+    assert canonical_dump(derived) == canonical_dump(rebuilt)
+    assert derived.nonempty_times == rebuilt.nonempty_times
+    assert derived.contact_count() == rebuilt.contact_count()
+    assert all(type(derived.edges_at(t)) is frozenset for t in derived.nonempty_times)
+
+
+@settings(max_examples=100, deadline=None)
+@given(gappy_temporal_graphs(), st.integers(0, 2 ** 16))
+def test_null_model_builds_a_graph_the_constructor_accepts(g, seed):
+    _assert_the_constructor_builds_it(reshuffle_timestamps(g, seed=seed))
+
+
+@settings(max_examples=100, deadline=None)
+@given(gappy_temporal_graphs(), st.integers(1, 4),
+       st.one_of(st.none(), st.sampled_from([1.0, 1.5, 3.0])))
+def test_anomaly_pass_builds_a_graph_the_constructor_accepts(g, tr, ratio):
+    report = detect_anomalies(g, maximal_span_cores(g), tr=tr, ratio=ratio)
+    _assert_the_constructor_builds_it(report.surviving)
 
 
 def _report_fields(report):

@@ -84,23 +84,13 @@ class TestConstruction:
         with pytest.raises(ValueError, match="outside"):
             g.edges_at(5)
 
-    def test_from_timestamps_equals_the_dense_constructor(self):
-        sparse = TemporalGraph.from_timestamps(["a", "b", "c"], 6,
-                                               {5: [(2, 1)], 1: [(0, 1), (1, 0)], 3: []})
-        dense = TemporalGraph(["a", "b", "c"], [(), [(0, 1)], (), (), (), [(1, 2)], ()])
-        assert sparse.nonempty_times == (1, 5)
-        assert canonical_dump(sparse) == canonical_dump(dense)
-
-    @pytest.mark.parametrize("t_max, edges, message", [
-        (2, {3: [(0, 1)]}, "outside 0..2"),
-        (2, {-1: [(0, 1)]}, "outside 0..2"),
-        (2, {1: [(1, 1)]}, "self-loop"),
-        (2, {1: [(0, 2)]}, "unknown vertex"),
-        (-1, {}, "at least one timestamp"),
-    ])
-    def test_from_timestamps_checks_like_the_constructor(self, t_max, edges, message):
-        with pytest.raises(ValueError, match=message):
-            TemporalGraph.from_timestamps(["a", "b"], t_max, edges)
+    def test_from_canonical_equals_the_constructor(self):
+        # Keys need not arrive in time order; the non-empty times come out sorted.
+        built = TemporalGraph._from_canonical(
+            ["a", "b", "c"], 6, {5: frozenset({(1, 2)}), 1: frozenset({(0, 1)})})
+        dense = TemporalGraph(["a", "b", "c"], [(), [(1, 0)], (), (), (), [(2, 1)], ()])
+        assert built.nonempty_times == dense.nonempty_times == (1, 5)
+        assert canonical_dump(built) == canonical_dump(dense)
 
 
 class TestIngest:
