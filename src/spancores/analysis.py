@@ -208,6 +208,14 @@ def _order_one_core(g: TemporalGraph, interval: Interval) -> frozenset[int]:
     return frozenset(labeling.coreness)
 
 
+def check_anomaly_thresholds(tr: int, ratio: float | None) -> None:
+    """Raise ValueError unless tr >= 1 and ratio is None or positive and finite."""
+    if tr < 1:
+        raise ValueError(f"tr must be >= 1, got {tr}")
+    if ratio is not None and not 0 < ratio < math.inf:
+        raise ValueError(f"ratio must be positive and finite, got {ratio}")
+
+
 def detect_anomalies(g: TemporalGraph, maximal: DecompositionResult, tr: int,
                      ratio: float | None = None) -> AnomalyReport:
     """Flag and strip contacts tied to suspiciously long-lived cores.
@@ -219,10 +227,7 @@ def detect_anomalies(g: TemporalGraph, maximal: DecompositionResult, tr: int,
     where original/surviving contact counts exceed it (a timestamp filtered
     to zero counts as infinite).
     """
-    if tr < 1:
-        raise ValueError(f"tr must be >= 1, got {tr}")
-    if ratio is not None and not 0 < ratio < math.inf:
-        raise ValueError(f"ratio must be positive and finite, got {ratio}")
+    check_anomaly_thresholds(tr, ratio)
 
     intervals = frozenset(c.span for c in maximal.cores if c.span.width > tr)
     anomalous_by_time: dict[int, set[int]] = defaultdict(set)

@@ -19,6 +19,7 @@ from . import __version__
 from .analysis import (
     AttributeTable,
     activity_grid,
+    check_anomaly_thresholds,
     detect_anomalies,
     precision_recall,
     purity_curve,
@@ -73,7 +74,7 @@ def _umask() -> int:
 def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace) -> None:
     config = {
         key: value for key, value in sorted(vars(args).items())
-        if key not in ("func", "command") and not key.startswith("_")
+        if key not in ("func", "command")
     }
     manifest = {
         "tool": "spancores",
@@ -218,6 +219,7 @@ def _read_positives(path: Path) -> list[int]:
 
 
 def cmd_anomaly(args) -> int:
+    check_anomaly_thresholds(args.tr, args.ratio)  # before the input is read
     graph = _load_graph(args)
     maximal = maximal_span_cores(graph)
     report = detect_anomalies(graph, maximal, tr=args.tr, ratio=args.ratio)

@@ -1,8 +1,10 @@
 """Core decomposition of a static undirected graph.
 
-Bucket-based peeling: vertices are processed in nondecreasing order of
-residual degree, and the degree a vertex holds when its turn comes is its
-coreness. Runs in O(|vertices| + |edges|).
+Bucket-based peeling (Batagelj and Zaversnik, arXiv cs/0310049): vertices
+are processed in nondecreasing order of residual degree, and the degree a
+vertex holds when its turn comes is its coreness. Coreness is unique, so it
+does not depend on the order in which vertices of one degree are peeled.
+Runs in O(|vertices| + |edges|).
 """
 
 from __future__ import annotations
@@ -25,8 +27,12 @@ def core_decomposition(vertices: Iterable[int], edges: Iterable[Edge]) -> CoreLa
     """Peel the graph and label every non-isolated vertex with its coreness.
 
     `edges` must connect vertices drawn from `vertices`; a stray endpoint is
-    a caller bug and raises. Ties inside a degree bucket are broken by
-    ascending vertex id so runs are reproducible.
+    a caller bug and raises. `buckets[d]` lists the vertices that reached
+    residual degree d: a vertex is appended again each time a peeled neighbour
+    lowers its degree, and an entry whose vertex has since moved lower is
+    skipped. Only the endpoint of an edge peeled later is lowered, so the peel
+    appends at most |V| + |E| entries, and the bucket being walked may grow
+    while it is walked.
     """
     adjacency: dict[int, list[int]] = {u: [] for u in vertices}
     for u, v in edges:
@@ -39,42 +45,19 @@ def core_decomposition(vertices: Iterable[int], edges: Iterable[Edge]) -> CoreLa
     if not degree:
         return CoreLabeling({}, 0)
 
-    max_degree = max(degree.values())
-    counts = [0] * (max_degree + 1)
-    for d in degree.values():
-        counts[d] += 1
-    starts = [0] * (max_degree + 1)
-    acc = 0
-    for d in range(max_degree + 1):
-        starts[d] = acc
-        acc += counts[d]
-
-    order = [0] * len(degree)
-    position = {}
-    fill = list(starts)
-    for u in sorted(degree):
-        d = degree[u]
-        order[fill[d]] = u
-        position[u] = fill[d]
-        fill[d] += 1
-
+    buckets: list[list[int]] = [[] for _ in range(max(degree.values()) + 1)]
+    for u, d in degree.items():
+        buckets[d].append(u)
     coreness: dict[int, int] = {}
-    for i in range(len(order)):
-        u = order[i]
-        du = degree[u]
-        coreness[u] = du
-        for v in adjacency[u]:
-            dv = degree[v]
-            if dv > du:
-                # pull v to the front of its bucket, then shrink the bucket
-                pv = position[v]
-                pw = starts[dv]
-                w = order[pw]
-                if v != w:
-                    order[pv], order[pw] = w, v
-                    position[v], position[w] = pw, pv
-                starts[dv] += 1
-                degree[v] = dv - 1
+    for d, bucket in enumerate(buckets):
+        for u in bucket:
+            if degree[u] != d:
+                continue
+            coreness[u] = d
+            for v in adjacency[u]:
+                if degree[v] > d:
+                    degree[v] -= 1
+                    buckets[degree[v]].append(v)
     return CoreLabeling(coreness, max(coreness.values()))
 
 

@@ -46,26 +46,23 @@ class MaximalTrace:
 def naive_maximal_span_cores(g: TemporalGraph) -> DecompositionResult:
     """Run the full decomposition, then keep only undominated cores.
 
-    Only the innermost core of each interval can be maximal, and a stored
-    innermost core is dominated exactly when a wider interval later yields
-    the same order. Processing intervals by nondecreasing width makes the
-    one-pass filter below exact.
+    Only the innermost core of each interval can be maximal. Span-cores nest
+    under interval containment: a core of order k over D yields one of order
+    at least k over every interval inside D. Every interval strictly
+    containing [s, e] contains [s-1, e] or [s, e+1], so the innermost core
+    of [s, e] is maximal exactly when its order beats the innermost orders
+    of those two one-step extensions (0 where there is none).
     """
     started = time.perf_counter()
     full = span_cores(g)
-    innermost_by_span: dict[Interval, SpanCore] = {}
-    for core in full.cores:
-        best = innermost_by_span.get(core.span)
-        if best is None or core.order > best.order:
-            innermost_by_span[core.span] = core
-    kept: dict[Interval, SpanCore] = {}
-    for span in sorted(innermost_by_span, key=lambda iv: (iv.width, iv.start)):
-        core = innermost_by_span[span]
-        for other in [iv for iv, c in kept.items()
-                      if c.order == core.order and span.contains(iv)]:
-            del kept[other]
-        kept[span] = core
-    cores = sorted(kept.values(), key=SpanCore.sort_key)
+    # Cores come sorted by (start, end, order), so the last one of a span is
+    # its innermost, and the spans keep that order.
+    innermost = {(core.span.start, core.span.end): core for core in full.cores}
+    cores = []
+    for (s, e), core in innermost.items():
+        wider = (innermost.get((s - 1, e)), innermost.get((s, e + 1)))
+        if all(other is None or other.order < core.order for other in wider):
+            cores.append(core)
     metrics = RunMetrics(
         processed_vertices=full.metrics.processed_vertices,
         cores_emitted=len(cores),

@@ -248,6 +248,18 @@ class TestAnomaly:
         assert error[-1] == f"error: ratio must be positive and finite, got {float(ratio)}"
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--tr", 5, "--ratio", "nan"), "ratio must be positive and finite, got nan"),
+        (("--tr", 0), "tr must be >= 1, got 0"),
+    ], ids=["ratio", "tr"])
+    def test_bad_threshold_exits_2_before_the_engine_runs(self, planted_file, tmp_path,
+                                                          capsys, monkeypatch, flags, message):
+        def engine(graph):
+            raise AssertionError("the engine ran before the thresholds were checked")
+        monkeypatch.setattr(spancores.cli, "maximal_span_cores", engine)
+        assert run("anomaly", "--input", planted_file, *flags, "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
+
 
 class TestErrorsAndDeterminism:
     def test_missing_input_fails_cleanly(self, tmp_path):
@@ -418,9 +430,11 @@ class TestErrorsAndDeterminism:
                 == (out_b / "cores.jsonl").read_bytes())
 
     def test_module_entry_point(self):
+        # The child imports the package this test imported, installed or not.
+        src = str(Path(spancores.__file__).parents[1])
         proc = subprocess.run(
             [sys.executable, "-m", "spancores", "--version"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
         )
         assert proc.returncode == 0
         assert "spancores" in proc.stdout

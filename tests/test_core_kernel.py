@@ -40,19 +40,36 @@ class TestCoreDecomposition:
         labeling = core_decomposition([5, 9, 40], [(5, 9), (9, 40), (5, 40)])
         assert labeling.coreness == {5: 2, 9: 2, 40: 2}
 
+    def test_path_peels_into_the_bucket_being_walked(self):
+        # Peeling end vertex 0 lowers vertex 1 from degree 2 into bucket 1,
+        # the bucket being walked, and leaves a stale entry in bucket 2.
+        labeling = core_decomposition(range(4), [(0, 1), (1, 2), (2, 3)])
+        assert labeling.coreness == {0: 1, 1: 1, 2: 1, 3: 1}
+        assert labeling.max_order == 1
+
     def test_matches_fixed_point_oracle(self):
+        # The order vertices are handed in sets the peel order inside a
+        # degree bucket, so each graph goes in as a range, as a shuffled
+        # list, and renamed to non-contiguous ids in a frozenset.
         rng = random.Random(97)
+        order_rng = random.Random(98)
         for _ in range(60):
             n, edges = random_static_graph(rng)
-            labeling = core_decomposition(range(n), edges)
+            expected = {}
             k = 1
-            while True:
-                expected = fixed_point_core(n, edges, k)
-                assert k_core(labeling, k) == expected
-                if not expected:
-                    break
+            while core := fixed_point_core(n, edges, k):
+                expected.update(dict.fromkeys(core, k))
                 k += 1
-            assert labeling.max_order == k - 1
+            shuffled = list(range(n))
+            order_rng.shuffle(shuffled)
+            ids = order_rng.sample(range(10 * n), n)  # vertex u is renamed ids[u]
+            renamed_edges = [(ids[u], ids[v]) for u, v in edges]
+            for vertices, graph_edges, name in ((range(n), edges, range(n)),
+                                                (shuffled, edges, range(n)),
+                                                (frozenset(ids), renamed_edges, ids)):
+                labeling = core_decomposition(vertices, graph_edges)
+                assert labeling.coreness == {name[u]: c for u, c in expected.items()}
+                assert labeling.max_order == k - 1
 
     def test_every_member_meets_the_degree_bound(self):
         rng = random.Random(3)
