@@ -40,6 +40,10 @@ from .span_cores import naive_span_cores, span_cores
 from .temporal_graph import contact_lines, ingest_contacts, parse_contact_lines
 
 DEFAULT_SEED = 0
+# Every input file is read with this codec, which drops a leading UTF-8
+# byte-order mark instead of making it part of the first label or field.
+# Artifacts are written as plain UTF-8.
+_READ_ENCODING = "utf-8-sig"
 
 
 class CliError(Exception):
@@ -89,7 +93,7 @@ def _load_graph(args: argparse.Namespace):
     path = Path(args.input)
     if not path.exists():
         raise CliError(f"input file not found: {path}")
-    with path.open(encoding="utf-8") as handle:
+    with path.open(encoding=_READ_ENCODING) as handle:
         contacts, skipped = parse_contact_lines(handle, strict=args.strict)
     if skipped:
         _log(f"skipped {skipped} malformed contact line(s)")
@@ -147,7 +151,7 @@ def _read_core_file(path_text: str):
     if not path.exists():
         raise CliError(f"core file not found: {path}")
     fmt = "jsonl" if path.suffix == ".jsonl" else "csv"
-    with path.open(encoding="utf-8") as handle:
+    with path.open(encoding=_READ_ENCODING) as handle:
         return read_cores(handle, fmt)
 
 
@@ -178,7 +182,7 @@ def cmd_purity(args) -> int:
     attrs_path = Path(args.attributes)
     if not attrs_path.exists():
         raise CliError(f"attribute file not found: {attrs_path}")
-    with attrs_path.open(encoding="utf-8") as handle:
+    with attrs_path.open(encoding=_READ_ENCODING) as handle:
         try:
             table = AttributeTable.from_csv(handle)
         except ValueError as error:
@@ -205,7 +209,7 @@ def cmd_shuffle(args) -> int:
 
 def _read_positives(path: Path) -> list[int]:
     positives = []
-    with path.open(encoding="utf-8") as handle:
+    with path.open(encoding=_READ_ENCODING) as handle:
         for line_number, line in enumerate(handle, start=1):
             text = line.strip()
             if not text:

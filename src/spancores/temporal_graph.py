@@ -8,9 +8,12 @@ alongside so inputs and outputs can speak the caller's vocabulary.
 
 from __future__ import annotations
 
+import io
 from collections import defaultdict
+from collections.abc import Sequence
 from functools import total_ordering
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from itertools import count
+from typing import Iterable, Iterator, NamedTuple, TextIO
 
 Edge = tuple[int, int]
 Contact = tuple[str, str, int]
@@ -22,6 +25,16 @@ MEMBER_SEPARATOR = ";"
 _LABEL_SEPARATORS = (MEMBER_SEPARATOR, ",")
 # The edge set of every empty timestamp.
 _NO_EDGES: frozenset[Edge] = frozenset()
+# The ASCII bytes that separate the fields of a contact line or mark a
+# comment: the whitespace str.split splits at, the comma and '#'. Canonical
+# contact text holds them only as two single spaces and a closing newline
+# per line.
+_SEPARATOR_BYTES = b" \n\t\x0b\x0c\r\x1c\x1d\x1e\x1f,#"
+_FIELD_BYTES = bytes(sorted(set(range(256)) - set(_SEPARATOR_BYTES)))
+# Contact text read whole is split this many characters at a time, rounded
+# up to a line end, so that the strings of one chunk, not of the whole file,
+# are alive at once.
+_CHUNK_CHARS = 1 << 16
 
 
 class ContactParseError(ValueError):
@@ -72,10 +85,6 @@ class Interval:
     def width(self) -> int:
         """Number of timestamps covered."""
         return self.end - self.start + 1
-
-    def contains(self, other: "Interval") -> bool:
-        """True if `other` lies entirely within this interval."""
-        return self.start <= other.start and self.end >= other.end
 
     def timestamps(self) -> range:
         return range(self.start, self.end + 1)
@@ -187,14 +196,57 @@ class TemporalGraph:
                 f"contacts={self.contact_count()})")
 
 
-def parse_contact_lines(lines: Iterable[str], strict: bool = True) -> tuple[list[Contact], int]:
+class ContactColumns(Sequence):
+    """Read-only contacts held as a label column and a time column.
+
+    `labels` interleaves the endpoints (u0, v0, u1, v1, ...) and `times`
+    holds the raw times, so contact i is (labels[2i], labels[2i+1],
+    times[i]). parse_contact_lines returns canonical contact text in this
+    form, which spares a tuple per line; ingest_contacts reads the columns
+    directly.
+    """
+
+    __slots__ = ("labels", "times")
+
+    def __init__(self, labels: list[str], times: list[int]):
+        self.labels = labels
+        self.times = times
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self)[index]
+        raw_time = self.times[index]  # raises IndexError first
+        return self.labels[2 * index], self.labels[2 * index + 1], raw_time
+
+    def __iter__(self) -> Iterator[Contact]:
+        ends = iter(self.labels)
+        return zip(ends, ends, self.times)
+
+
+def parse_contact_lines(lines: Iterable[str] | TextIO,
+                        strict: bool = True) -> tuple[Sequence[Contact], int]:
     """Parse text lines into (label, label, raw_time) contact triples.
 
     A contact line is "u v t" with whitespace- or comma-separated fields and a
     non-negative integer time. Lines starting with '#' and blank lines are
     skipped. Malformed lines raise ContactParseError in strict mode and are
     counted (second return value) otherwise.
+
+    A text stream is read whole. Canonical text, ASCII lines of exactly
+    "label label digits" with single spaces, each ending in '\n', comes back
+    as ContactColumns. Any other text is parsed line by line, like a list of
+    its lines ending at '\n' (as a stream opened with the default newline
+    handling yields them), with the same contacts, errors and skip count.
     """
+    if isinstance(lines, io.TextIOBase):
+        text = lines.read()
+        columns = _canonical_columns(text)
+        if columns is not None:
+            return columns, 0
+        lines = _text_lines(text)
     contacts: list[Contact] = []
     append = contacts.append
     skipped = 0
@@ -229,6 +281,58 @@ def parse_contact_lines(lines: Iterable[str], strict: bool = True) -> tuple[list
     return contacts, skipped
 
 
+def _canonical_columns(text: str) -> ContactColumns | None:
+    """The contacts of canonical text, or None for any other text.
+
+    Every line of canonical text is a contact the line parser accepts, so
+    the text is split in chunks of whole lines, with no per-line step. Only
+    one chunk's field strings exist at a time: each distinct label keeps
+    one string object and each distinct time string is converted once.
+    """
+    if not (text.isascii() and text.endswith("\n")):
+        return None
+    separators = text.encode("ascii").translate(None, _FIELD_BYTES)
+    line_count = len(separators) // 3
+    if separators != b"  \n" * line_count:
+        return None
+    labels: list[str] = []
+    times: list[int] = []
+    shared_labels: dict[str, str] = {}
+    raw_times: dict[str, int] = {}
+    field_count = 0
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK_CHARS) + 1 or len(text)
+        fields = text[start:end].split()
+        field_count += len(fields)
+        time_fields = fields[2::3]
+        distinct = dict.fromkeys(time_fields)
+        if not "".join(distinct).isdigit():
+            return None
+        try:
+            raw_times.update({field: int(field) for field in distinct if field not in raw_times})
+        except ValueError:  # more digits than int() converts
+            return None
+        times += map(raw_times.__getitem__, time_fields)
+        del fields[2::3]
+        labels += map(shared_labels.setdefault, fields, fields)
+        start = end
+    # Each line has two spaces, so fewer than three fields on a line means
+    # an empty field: a leading, doubled or trailing space.
+    if field_count != 3 * line_count:
+        return None
+    return ContactColumns(labels, times)
+
+
+def _text_lines(text: str) -> Iterator[str]:
+    """The lines of `text`, each up to a '\n', split a chunk of whole lines at a time."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK_CHARS) + 1 or len(text)
+        yield from text[start:end].removesuffix("\n").split("\n")
+        start = end
+
+
 def ingest_contacts(contacts: Iterable[Contact], window: int = 1,
                     origin: int | None = None) -> TemporalGraph:
     """Build a temporal graph from (label_u, label_v, raw_time) contacts.
@@ -242,11 +346,22 @@ def ingest_contacts(contacts: Iterable[Contact], window: int = 1,
     whitespace, and may not start with '#', so every core file and contact
     line written from the graph reads back.
     """
-    contacts = list(contacts)
+    columns = isinstance(contacts, ContactColumns)
+    if not columns:
+        contacts = list(contacts)
     if not contacts:
         raise ValueError("no contacts")
     if window < 1:
         raise ValueError(f"window must be a positive integer, got {window}")
+    ingest = _ingest_columns if columns else _ingest_tuples
+    ids, windows, t_max = ingest(contacts, window, origin)
+    edges_by_time = {t: frozenset(edges) for t, edges in windows.items() if edges}
+    return TemporalGraph._from_canonical(ids, t_max, edges_by_time)
+
+
+def _ingest_tuples(contacts: list[Contact], window: int,
+                   origin: int | None) -> tuple[dict[str, int], dict[int, set[Edge]], int]:
+    """Vertex ids, edge sets by timestamp and t_max of a non-empty contact list."""
     ids: dict[str, int] = {}
     get = ids.get
     staged: defaultdict[int, set[Edge]] = defaultdict(set)  # raw time -> edges
@@ -262,12 +377,7 @@ def ingest_contacts(contacts: Iterable[Contact], window: int = 1,
             edges.add((u, v))
         elif v < u:
             edges.add((v, u))
-    earliest = min(staged)
-    if origin is None:
-        origin = earliest
-    elif earliest < origin:
-        first = next(t for _, _, t in contacts if t < origin)
-        raise ValueError(f"contact time {first} precedes origin {origin}")
+    origin = _origin(staged, origin)
     for label in ids:
         _check_label(label)
     windows: dict[int, set[Edge]] = {}
@@ -277,8 +387,42 @@ def ingest_contacts(contacts: Iterable[Contact], window: int = 1,
             windows[t] |= edges
         else:
             windows[t] = edges
-    edges_by_time = {t: frozenset(edges) for t, edges in windows.items() if edges}
-    return TemporalGraph._from_canonical(ids, (max(staged) - origin) // window, edges_by_time)
+    return ids, windows, (max(staged) - origin) // window
+
+
+def _ingest_columns(columns: ContactColumns, window: int,
+                    origin: int | None) -> tuple[dict[str, int], dict[int, set[Edge]], int]:
+    """What _ingest_tuples returns, from columns: each distinct raw time is
+    discretized once, and each edge goes straight into its timestamp's set."""
+    raw_times = dict.fromkeys(columns.times)
+    origin = _origin(raw_times, origin)
+    ids = dict(zip(dict.fromkeys(columns.labels), count()))
+    for label in ids:
+        _check_label(label)
+    windows: dict[int, set[Edge]] = {}
+    edges_of = {t: windows.setdefault((t - origin) // window, set()) for t in raw_times}
+    ends = map(ids.__getitem__, columns.labels)
+    for u, v, edges in zip(ends, ends, map(edges_of.__getitem__, columns.times)):
+        if u < v:  # a self-loop adds no edge; its labels and time still count
+            edges.add((u, v))
+        elif v < u:
+            edges.add((v, u))
+    return ids, windows, (max(raw_times) - origin) // window
+
+
+def _origin(raw_times: dict[int, object], origin: int | None) -> int:
+    """`origin`, or the earliest of the distinct raw times if it is None.
+
+    `raw_times` holds the distinct raw times in file order, so the error
+    names the first contact time before the origin.
+    """
+    earliest = min(raw_times)
+    if origin is None:
+        return earliest
+    if earliest < origin:
+        first = next(t for t in raw_times if t < origin)
+        raise ValueError(f"contact time {first} precedes origin {origin}")
+    return origin
 
 
 def _check_label(label: str) -> None:

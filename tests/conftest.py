@@ -139,6 +139,11 @@ def k_core(labeling, k: int) -> frozenset[int]:
     return frozenset(u for u, c in labeling.coreness.items() if c >= k)
 
 
+def contains(outer: Interval, inner: Interval) -> bool:
+    """True if `inner` lies entirely within `outer`."""
+    return outer.start <= inner.start and outer.end >= inner.end
+
+
 def dominates(first: SpanCore, second: SpanCore) -> bool:
     """True if `first` has at least the order of `second` and covers its span.
 
@@ -147,7 +152,7 @@ def dominates(first: SpanCore, second: SpanCore) -> bool:
     """
     if first.order == second.order and first.span == second.span:
         raise ValueError("dominance is only defined between distinct (order, span) pairs")
-    return first.order >= second.order and first.span.contains(second.span)
+    return first.order >= second.order and contains(first.span, second.span)
 
 
 def canonical_dump(g: TemporalGraph) -> str:

@@ -8,6 +8,7 @@ result line then carries the string "absent" where a number belongs.
 from __future__ import annotations
 
 import io
+from collections import Counter
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -89,3 +90,29 @@ def test_traced_pipeline_counts_every_kernel_call(monkeypatch, tmp_path):
     # dense seed at 7, and the candidates of [0,1].
     assert (counts["kernel.vertices_in"] - counts["maximal.processed_vertices"]
             == 3 + 3 + 4 + 2 + 3 + 9 + 3)
+
+
+def test_maximal_run_parses_and_ingests_once(monkeypatch, tmp_path):
+    """A maximal run on a canonical file records one parse span and one ingest span.
+
+    perfbench/run.py also checks len() of the parse result against the line
+    count of each generated file.
+    """
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    from spancores import cli, parse_contact_lines
+
+    contacts = tmp_path / "contacts.txt"
+    contacts.write_text(GAPPY_CONTACTS)
+    hooks = tracer.Tracer()
+    hooks.prepare()
+    with hooks.active():
+        argv = ["maximal", "--input", str(contacts), "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 0
+    spans = Counter(hooks.names[code] for code in hooks.name_code)
+    assert spans["cli.parse_contact_lines"] == 1
+    assert spans["cli.ingest_contacts"] == 1
+    with contacts.open(encoding="utf-8") as handle:
+        parsed, _ = parse_contact_lines(handle, strict=True)
+    assert len(parsed) == len(GAPPY_CONTACTS.splitlines()) == 14

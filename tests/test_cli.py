@@ -395,6 +395,45 @@ class TestErrorsAndDeterminism:
             "1,0,0,3,b;c;é".encode("utf-8"), "2,0,0,3,b;c;é".encode("utf-8"),
         ]
 
+    def test_byte_order_mark_changes_no_artifact(self, tmp_path):
+        """A leading UTF-8 byte-order mark is not part of the first line of any input."""
+        contacts = G_EX_CONTACTS.split("\n", 1)[1]  # starts with a contact line
+        artifacts = {}
+        for mark in ("", "\ufeff"):
+            root = tmp_path / ("marked" if mark else "plain")
+            root.mkdir()
+            (root / "contacts.txt").write_text(mark + contacts, encoding="utf-8")
+            (root / "positives.txt").write_text(mark + "0\n1\n", encoding="utf-8")
+            (root / "attrs.csv").write_text(mark + "label,dept\na,P\nb,P\nc,Q\nd,Q\n",
+                                            encoding="utf-8")
+            ingest = ["--input", root / "contacts.txt", "--origin", 0]
+            assert run("decompose", *ingest, "--out", root / "decompose") == 0
+            assert run("maximal", *ingest, "--format", "jsonl", "--out", root / "maximal") == 0
+            assert run("shuffle", *ingest, "--out", root / "shuffle") == 0
+            assert run("anomaly", *ingest, "--tr", 1, "--positives", root / "positives.txt",
+                       "--out", root / "anomaly") == 0
+            # Core files as the plain run wrote them, marked or not.
+            for step, name in (("decompose", "cores.csv"), ("maximal", "maximal.jsonl")):
+                written = (tmp_path / "plain" / step / name).read_text(encoding="utf-8")
+                (root / name).write_text(mark + written, encoding="utf-8")
+                assert run("stats", "--cores", root / name, "--out", root / f"stats-{name}") == 0
+            assert run("grid", "--cores", root / "cores.csv", "--out", root / "grid") == 0
+            assert run("purity", "--cores", root / "maximal.jsonl", "--attributes",
+                       root / "attrs.csv", "--attribute", "dept", "--out", root / "purity") == 0
+            outputs = {}
+            for path in sorted(root.glob("*/*")):
+                if path.name == "run-manifest.json":  # it names the input paths
+                    continue
+                data = path.read_bytes()
+                if path.name == "metrics.json":
+                    metrics = json.loads(data)
+                    metrics.pop("elapsed_ms")
+                    data = metrics
+                outputs[path.relative_to(root).as_posix()] = data
+            artifacts[mark] = outputs
+        assert len(artifacts[""]) == 13
+        assert artifacts["\ufeff"] == artifacts[""]
+
     def test_rerun_is_byte_identical(self, contact_file, tmp_path):
         out = tmp_path / "artifacts"
         assert run("decompose", "--input", contact_file, "--origin", 0, "--out", out) == 0

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import io
 import random
+import re
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -16,8 +19,11 @@ from spancores import (
     ingest_contacts,
     parse_contact_lines,
 )
+from spancores import temporal_graph
+from spancores.temporal_graph import ContactColumns
 from .conftest import (
     canonical_dump,
+    contains,
     interval_edges,
     random_temporal_graph,
     reference_ingest_contacts,
@@ -30,10 +36,10 @@ class TestInterval:
     def test_width_and_containment(self):
         assert Interval(0, 0).width == 1
         assert Interval(2, 5).width == 4
-        assert Interval(0, 5).contains(Interval(2, 4))
-        assert Interval(2, 4).contains(Interval(2, 4))
-        assert not Interval(2, 4).contains(Interval(1, 4))
-        assert not Interval(2, 4).contains(Interval(2, 5))
+        assert contains(Interval(0, 5), Interval(2, 4))
+        assert contains(Interval(2, 4), Interval(2, 4))
+        assert not contains(Interval(2, 4), Interval(1, 4))
+        assert not contains(Interval(2, 4), Interval(2, 5))
 
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError):
@@ -47,11 +53,11 @@ class TestInterval:
     def test_containment_is_a_partial_order(self, a, b, c):
         ivs = [Interval(min(x), max(x)) for x in (a, b, c)]
         x, y, z = ivs
-        assert x.contains(x)
-        if x.contains(y) and y.contains(x):
+        assert contains(x, x)
+        if contains(x, y) and contains(y, x):
             assert x == y
-        if x.contains(y) and y.contains(z):
-            assert x.contains(z)
+        if contains(x, y) and contains(y, z):
+            assert contains(x, z)
 
 
 class TestConstruction:
@@ -193,11 +199,65 @@ def _contact_lines(draw) -> str:
     return line + draw(st.sampled_from(["", "\n", " \n", "\t", "\r\n"]))
 
 
+# Canonical contact text, by a definition independent of the parser's check:
+# lines "label label digits" with single spaces, each ending in a newline,
+# whose labels are printable ASCII other than '#' and ','.
+_CANONICAL_TEXT = re.compile(r"(?:[!-\"$-+\--~]+ [!-\"$-+\--~]+ [0-9]+\n)+")
+_CANONICAL_LABELS = st.text(alphabet=[chr(c) for c in range(0x21, 0x7F) if chr(c) not in "#,"],
+                            min_size=1, max_size=3)
+
+# Canonical text of 9,000 lines with self-loops and zero-padded times.
+_LONG_TEXT = "".join(f"v{i % 53} v{i * 7 % 59} {i // 90:03d}\n" for i in range(9000))
+assert len(_LONG_TEXT) > temporal_graph._CHUNK_CHARS
+
+# Canonical text and texts one step from it, read through a stream.
+_STREAM_TEXTS = {
+    "canonical": "a b 3\nb c 3\nc a 5\nd e 4\n",
+    "double-space": "a b 3\nb  c 3\nc a 5\n",
+    "trailing-space": "a b 3\nb c 3 \nc a 5\n",
+    "no-final-newline": "a b 3\nb c 3\nc a 5",
+    "lone-cr": "a b 3\rb c 3\nc a 5\n",
+    "crlf": "a b 3\r\nb c 3\r\nc a 5\r\n",
+    "non-ascii-label": "a b 3\n\u00e9 c 3\nc a 5\n",
+    "tab": "a b 3\nb\tc 3\nc a 5\n",
+    "file-separator": "a b 3\nb\x1cc 3\nc a 5\n",
+    # Two spaces and a newline per line, but not three fields per line.
+    "double-space-two-fields": "1  2\n3 4 5\n",
+    "leading-space": " 1 2\n3 4 5\n",
+    "trailing-space-two-fields": "1 2 \n3 4 5\n",
+    "text-after-last-newline": "1 2 3\n4",
+    "empty-field-and-text-after-last-newline": "1  2\n3 4 5\n6",
+    "tab-field": "1 \t 2\n3\t4 5 6\n",
+    "file-separator-field": "1 \x1c 2\n3\x1c4 5 6\n",
+    "vertical-tab-field": "1 \x0b 2\n3\x0b4 5 6\n",
+    "comment-line": "# contacts\na b 3\nb c 3\n",
+    "comma-line": "a b 3\nb,c,3\nc a 5\n",
+    "blank-line": "a b 3\n\nb c 3\n",
+    "empty": "",
+    "two-fields": "a b 3\nb c\n",
+    "plus-time": "a b +5\nb c 3\n",
+    "underscore-time": "a b 1_0\nb c 3\n",
+    "negative-time": "a b -3\nb c 3\n",
+    "leading-zeros": "a b 007\nb c 7\nc a 3\n",
+    "too-many-digits": "a b 3\nb c " + "9" * 5000 + "\n",
+    "self-loop": "a a 2\nb c 3\n",
+    "duplicate": "a b 3\na b 3\nb a 3\n",
+    "unsorted": "c a 9\na b 3\nb c 6\nd a 0\n",
+    "semicolon-label": "a b 3\nx;y c 4\n",
+    # Longer than one chunk of the column path, with a fault in the last chunk.
+    "long": _LONG_TEXT,
+    "long-empty-field-at-end": _LONG_TEXT + "1  2\n",
+    "long-plus-time-at-end": _LONG_TEXT + "a b +5\n",
+    "long-too-many-digits-at-end": _LONG_TEXT + "a b " + "9" * 5000 + "\n",
+}
+
+
 def _parse_outcome(parse, lines, strict):
     try:
-        return parse(lines, strict=strict)
+        contacts, skipped = parse(lines, strict=strict)
     except ContactParseError as error:
         return error.line_number, error.reason, error.line, str(error)
+    return list(contacts), skipped
 
 
 def _ingest_outcome(ingest, contacts, window, origin):
@@ -206,6 +266,20 @@ def _ingest_outcome(ingest, contacts, window, origin):
     except ValueError as error:
         return str(error)
     return g.labels, canonical_dump(g)
+
+
+def _assert_ingests_like_reference(contacts, expected, window, origin):
+    """ingest_contacts(contacts) matches the reference ingest of the contact list
+    `expected`, except that where the reference would build a graph, a label
+    no file can carry is rejected, the first such label in file order."""
+    outcome = _ingest_outcome(ingest_contacts, contacts, window, origin)
+    reference = _ingest_outcome(reference_ingest_contacts, expected, window, origin)
+    labels = dict.fromkeys(label for u, v, _ in expected for label in (u, v))
+    unwritable = [label for label in labels if not writable_label(label)]
+    if unwritable and not isinstance(reference, str):
+        assert outcome.startswith(f"vertex label {unwritable[0]!r} ")
+    else:
+        assert outcome == reference
 
 
 class TestReferenceEquivalence:
@@ -237,6 +311,58 @@ class TestReferenceEquivalence:
         contacts = [c for c in contacts if writable_label(c[0]) and writable_label(c[1])]
         assert (_ingest_outcome(ingest_contacts, contacts, window, origin)
                 == _ingest_outcome(reference_ingest_contacts, contacts, window, origin))
+
+    @pytest.mark.parametrize("source", ["string", "file"])
+    @pytest.mark.parametrize("text", _STREAM_TEXTS.values(), ids=_STREAM_TEXTS.keys())
+    def test_stream_parses_and_ingests_like_reference(self, tmp_path, source, text):
+        """A text stream reads like the reference on the lines the same stream yields."""
+        path = tmp_path / "contacts.txt"
+        path.write_text(text, encoding="utf-8", newline="")
+
+        def stream():
+            if source == "string":
+                return io.StringIO(text)
+            return path.open(encoding="utf-8")
+
+        with stream() as handle:
+            lines = list(handle)
+        expected, skipped = reference_parse_contact_lines(lines, strict=False)
+        with stream() as handle:
+            canonical = _CANONICAL_TEXT.fullmatch(handle.read()) is not None and not skipped
+        after_earliest = min((t for _, _, t in expected), default=0) + 1
+        for chunk_chars in (1, 7, temporal_graph._CHUNK_CHARS):
+            with mock.patch.object(temporal_graph, "_CHUNK_CHARS", chunk_chars):
+                for strict in (True, False):
+                    with stream() as handle:
+                        assert (_parse_outcome(parse_contact_lines, handle, strict)
+                                == _parse_outcome(reference_parse_contact_lines, lines, strict))
+                with stream() as handle:
+                    contacts, _ = parse_contact_lines(handle, strict=False)
+            assert isinstance(contacts, ContactColumns) == canonical
+        # `contacts` is from the default chunk size, the last one above.
+        for window in (1, 2, 3, 4):
+            for origin in (None, 0, after_earliest):
+                _assert_ingests_like_reference(contacts, expected, window, origin)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(_CANONICAL_LABELS, _CANONICAL_LABELS,
+                              st.from_regex(r"[0-9]{1,3}", fullmatch=True)),
+                    min_size=1, max_size=12),
+           st.integers(1, 4), st.one_of(st.none(), st.integers(0, 12)), st.integers(1, 30))
+    def test_canonical_text_reads_as_columns(self, rows, window, origin, chunk_chars):
+        """Generated canonical text takes the column path and reads like the reference."""
+        lines = [f"{u} {v} {t}\n" for u, v, t in rows]
+        with mock.patch.object(temporal_graph, "_CHUNK_CHARS", chunk_chars):
+            contacts, skipped = parse_contact_lines(io.StringIO("".join(lines)))
+        expected, _ = reference_parse_contact_lines(lines)
+        assert isinstance(contacts, ContactColumns) and skipped == 0
+        assert len(contacts) == len(expected)
+        assert list(contacts) == expected
+        assert [contacts[i] for i in range(-len(expected), len(expected))] == expected * 2
+        assert contacts[1:] == expected[1:]
+        with pytest.raises(IndexError):
+            contacts[len(expected)]
+        _assert_ingests_like_reference(contacts, expected, window, origin)
 
 
 # One character, maybe with a plain neighbour, that a contact line or a core
