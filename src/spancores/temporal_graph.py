@@ -9,7 +9,6 @@ alongside so inputs and outputs can speak the caller's vocabulary.
 from __future__ import annotations
 
 import io
-from collections import defaultdict
 from collections.abc import Sequence
 from functools import total_ordering
 from itertools import count
@@ -246,7 +245,8 @@ def parse_contact_lines(lines: Iterable[str] | TextIO,
         columns = _canonical_columns(text)
         if columns is not None:
             return columns, 0
-        lines = _text_lines(text)
+        lines = (line for chunk in _chunks(text)
+                 for line in chunk.removesuffix("\n").split("\n"))
     contacts: list[Contact] = []
     append = contacts.append
     skipped = 0
@@ -300,10 +300,8 @@ def _canonical_columns(text: str) -> ContactColumns | None:
     shared_labels: dict[str, str] = {}
     raw_times: dict[str, int] = {}
     field_count = 0
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + _CHUNK_CHARS) + 1 or len(text)
-        fields = text[start:end].split()
+    for chunk in _chunks(text):
+        fields = chunk.split()
         field_count += len(fields)
         time_fields = fields[2::3]
         distinct = dict.fromkeys(time_fields)
@@ -316,7 +314,6 @@ def _canonical_columns(text: str) -> ContactColumns | None:
         times += map(raw_times.__getitem__, time_fields)
         del fields[2::3]
         labels += map(shared_labels.setdefault, fields, fields)
-        start = end
     # Each line has two spaces, so fewer than three fields on a line means
     # an empty field: a leading, doubled or trailing space.
     if field_count != 3 * line_count:
@@ -324,12 +321,12 @@ def _canonical_columns(text: str) -> ContactColumns | None:
     return ContactColumns(labels, times)
 
 
-def _text_lines(text: str) -> Iterator[str]:
-    """The lines of `text`, each up to a '\n', split a chunk of whole lines at a time."""
+def _chunks(text: str) -> Iterator[str]:
+    """`text` in pieces of whole lines, each about _CHUNK_CHARS long."""
     start = 0
     while start < len(text):
         end = text.find("\n", start + _CHUNK_CHARS) + 1 or len(text)
-        yield from text[start:end].removesuffix("\n").split("\n")
+        yield text[start:end]
         start = end
 
 
@@ -345,69 +342,34 @@ def ingest_contacts(contacts: Iterable[Contact], window: int = 1,
     contiguous. A label may hold neither MEMBER_SEPARATOR, a comma nor
     whitespace, and may not start with '#', so every core file and contact
     line written from the graph reads back.
+
+    Contacts are read as columns: each distinct raw time is discretized
+    once, and each edge goes straight into its timestamp's set.
     """
-    columns = isinstance(contacts, ContactColumns)
-    if not columns:
+    if not isinstance(contacts, ContactColumns):
         contacts = list(contacts)
+        contacts = ContactColumns([label for u, v, _ in contacts for label in (u, v)],
+                                  [raw_time for _, _, raw_time in contacts])
     if not contacts:
         raise ValueError("no contacts")
     if window < 1:
         raise ValueError(f"window must be a positive integer, got {window}")
-    ingest = _ingest_columns if columns else _ingest_tuples
-    ids, windows, t_max = ingest(contacts, window, origin)
-    edges_by_time = {t: frozenset(edges) for t, edges in windows.items() if edges}
-    return TemporalGraph._from_canonical(ids, t_max, edges_by_time)
-
-
-def _ingest_tuples(contacts: list[Contact], window: int,
-                   origin: int | None) -> tuple[dict[str, int], dict[int, set[Edge]], int]:
-    """Vertex ids, edge sets by timestamp and t_max of a non-empty contact list."""
-    ids: dict[str, int] = {}
-    get = ids.get
-    staged: defaultdict[int, set[Edge]] = defaultdict(set)  # raw time -> edges
-    for label_u, label_v, raw_time in contacts:
-        u = get(label_u)
-        if u is None:
-            u = ids[label_u] = len(ids)
-        v = get(label_v)
-        if v is None:
-            v = ids[label_v] = len(ids)
-        edges = staged[raw_time]  # a self-loop still counts its timestamp
-        if u < v:
-            edges.add((u, v))
-        elif v < u:
-            edges.add((v, u))
-    origin = _origin(staged, origin)
-    for label in ids:
-        _check_label(label)
-    windows: dict[int, set[Edge]] = {}
-    for raw_time, edges in staged.items():
-        t = (raw_time - origin) // window
-        if t in windows:
-            windows[t] |= edges
-        else:
-            windows[t] = edges
-    return ids, windows, (max(staged) - origin) // window
-
-
-def _ingest_columns(columns: ContactColumns, window: int,
-                    origin: int | None) -> tuple[dict[str, int], dict[int, set[Edge]], int]:
-    """What _ingest_tuples returns, from columns: each distinct raw time is
-    discretized once, and each edge goes straight into its timestamp's set."""
-    raw_times = dict.fromkeys(columns.times)
+    raw_times = dict.fromkeys(contacts.times)
     origin = _origin(raw_times, origin)
-    ids = dict(zip(dict.fromkeys(columns.labels), count()))
+    ids = dict(zip(dict.fromkeys(contacts.labels), count()))
     for label in ids:
         _check_label(label)
     windows: dict[int, set[Edge]] = {}
     edges_of = {t: windows.setdefault((t - origin) // window, set()) for t in raw_times}
-    ends = map(ids.__getitem__, columns.labels)
-    for u, v, edges in zip(ends, ends, map(edges_of.__getitem__, columns.times)):
+    ends = map(ids.__getitem__, contacts.labels)
+    for u, v, edges in zip(ends, ends, map(edges_of.__getitem__, contacts.times)):
         if u < v:  # a self-loop adds no edge; its labels and time still count
             edges.add((u, v))
         elif v < u:
             edges.add((v, u))
-    return ids, windows, (max(raw_times) - origin) // window
+    edges_by_time = {t: frozenset(edges) for t, edges in windows.items() if edges}
+    return TemporalGraph._from_canonical(ids, (max(raw_times) - origin) // window,
+                                         edges_by_time)
 
 
 def _origin(raw_times: dict[int, object], origin: int | None) -> int:
