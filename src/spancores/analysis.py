@@ -37,6 +37,8 @@ def stats_by_span(result: DecompositionResult) -> list[tuple[int, int, float]]:
 
 def activity_grid(result: DecompositionResult, min_span: int = 1) -> dict[tuple[int, int], int]:
     """Highest order per (start, width) cell, dropping widths below min_span."""
+    if min_span < 1:
+        raise ValueError(f"min_span must be at least 1, got {min_span}")
     grid: dict[tuple[int, int], int] = {}
     for core in result.cores:
         if core.span.width < min_span:
@@ -73,8 +75,14 @@ class AttributeTable:
             if len(row) != len(header):
                 raise ValueError(f"line {reader.line_num}: attribute row {row!r} "
                                  "does not match header width")
+            if row[0] in values:
+                raise ValueError(f"line {reader.line_num}: label {row[0]!r} is listed twice")
             values[row[0]] = dict(zip(attributes, row[1:]))
         return cls(attributes, values)
+
+    def check_attribute(self, attribute: str) -> None:
+        if attribute not in self.attributes:
+            raise ValueError(f"unknown attribute {attribute!r}; table has {self.attributes}")
 
     def value(self, label: str, attribute: str) -> str | None:
         row = self._values.get(label)
@@ -100,8 +108,7 @@ def purity_curve(result: DecompositionResult, attrs: AttributeTable,
     value are skipped and counted; a core with no valued members contributes
     nothing.
     """
-    if attribute not in attrs.attributes:
-        raise ValueError(f"unknown attribute {attribute!r}; table has {attrs.attributes}")
+    attrs.check_attribute(attribute)
     skipped = 0
     per_timestamp: dict[int, list[float]] = defaultdict(list)
     for core in result.cores:

@@ -178,7 +178,6 @@ def cmd_grid(args) -> int:
 
 
 def cmd_purity(args) -> int:
-    result = _read_core_file(args.cores)
     attrs_path = Path(args.attributes)
     if not attrs_path.exists():
         raise CliError(f"attribute file not found: {attrs_path}")
@@ -187,6 +186,8 @@ def cmd_purity(args) -> int:
             table = AttributeTable.from_csv(handle)
         except ValueError as error:
             raise CliError(f"{attrs_path} {error}") from None
+    table.check_attribute(args.attribute)  # before the core file is read
+    result = _read_core_file(args.cores)
     curve = purity_curve(result, table, args.attribute)
     if curve.skipped_vertices:
         _log(f"skipped {curve.skipped_vertices} member(s) without a value")
@@ -207,7 +208,10 @@ def cmd_shuffle(args) -> int:
     return 0
 
 
-def _read_positives(path: Path) -> list[int]:
+def _read_positives(path_text: str) -> list[int]:
+    path = Path(path_text)
+    if not path.exists():
+        raise CliError(f"positive-timestamp file not found: {path}")
     positives = []
     with path.open(encoding=_READ_ENCODING) as handle:
         for line_number, line in enumerate(handle, start=1):
@@ -224,6 +228,7 @@ def _read_positives(path: Path) -> list[int]:
 
 def cmd_anomaly(args) -> int:
     check_anomaly_thresholds(args.tr, args.ratio)  # before the input is read
+    positives = None if args.positives is None else _read_positives(args.positives)
     graph = _load_graph(args)
     maximal = maximal_span_cores(graph)
     report = detect_anomalies(graph, maximal, tr=args.tr, ratio=args.ratio)
@@ -239,11 +244,7 @@ def cmd_anomaly(args) -> int:
         "dropped_timestamps": sorted(report.dropped_timestamps),
         "surviving_contacts": report.surviving.contact_count(),
     }
-    if args.positives is not None:
-        positives_path = Path(args.positives)
-        if not positives_path.exists():
-            raise CliError(f"positive-timestamp file not found: {positives_path}")
-        positives = _read_positives(positives_path)
+    if positives is not None:
         precision, recall = precision_recall(graph, report, positives)
         payload["precision"] = precision
         payload["recall"] = recall

@@ -10,6 +10,7 @@ import csv
 import io
 import json
 from collections import Counter
+from itertools import count
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from .span_cores import DecompositionResult, RunMetrics, SpanCore
@@ -59,54 +60,75 @@ def metrics_to_json(metrics: RunMetrics) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-# A parsed core record: line number, k, t_s, t_e, member labels, and the
-# same labels joined by MEMBER_SEPARATOR.
-Row = tuple[int, int, int, int, list[str], str]
+# A parsed core record: line number, k, t_s, t_e, the CSV size field (None in
+# JSONL, which has none), and the member labels joined by MEMBER_SEPARATOR.
+Row = tuple[int, int, int, int, int | None, str]
 
 
 def _result_from_rows(rows: Iterable[Row]) -> DecompositionResult:
     """Check each parsed record and build the read-back result.
 
-    Cores keep their joined labels; the result numbers them only when asked
-    (see `DecompositionResult.labels`). Every writer emits records sorted,
-    so they are sorted here only when one is found out of order.
+    Each distinct member text is split and checked on the first row that
+    carries it; a later row with the same text only has its size field
+    compared with the known member count. Every writer emits records sorted,
+    so they are sorted here only when one is found out of order. Labels are
+    then numbered in order of first appearance across the sorted cores, and
+    every core with the same member text shares one frozenset.
     """
-    result = DecompositionResult((), None, RunMetrics())
-    cores = []
-    read_back = SpanCore._read_back
+    # Every member text accepted so far -> (its first copy, its member count).
+    # Records hold the first copy, so a repeated text's own copy is dropped.
+    known: dict[str, tuple[str, int]] = {}
+    records = []  # ((t_s, t_e, k), span, member text), then the cores
     last = (-1, -1, 0)  # (t_s, t_e, k) of the previous record
     seen = None  # every (t_s, t_e, k) so far, kept once records come out of order
     span = None
-    for line, k, t_s, t_e, labels, joined in rows:
+    for line, k, t_s, t_e, size, text in rows:
         key = (t_s, t_e, k)
         if key < last and seen is None:
-            seen = {(c.span.start, c.span.end, c.order) for c in cores}
-        size = len(labels)
-        if k < 1:
+            seen = {record[0] for record in records}
+        entry = known.get(text)
+        new = entry is None
+        if new:
+            labels = text.split(MEMBER_SEPARATOR) if text else []
+            n = len(labels)
+        else:
+            text, n = entry
+        if size is not None and size != n:
+            problem = f"size field {size} disagrees with {n} members"
+        elif k < 1:
             problem = f"order {k} must be at least 1"
         elif not 0 <= t_s <= t_e:
             problem = _span_problem(t_s, t_e)
-        elif not size:
+        elif new and not n:
             problem = "a core needs at least one member"
-        elif len(distinct := set(labels)) != size:
+        elif new and len(distinct := set(labels)) != n:
             problem = f"member {Counter(labels).most_common(1)[0][0]!r} is listed twice"
-        elif "" in distinct:
+        elif new and "" in distinct:
             problem = "empty member label"
         elif key == last or (seen is not None and key in seen):
             problem = f"a second core of order {k} over [{t_s},{t_e}]"
         else:
+            if new:
+                known[text] = (text, n)
             if seen is not None:
                 seen.add(key)
             if t_s != last[0] or t_e != last[1]:
                 span = Interval(t_s, t_e)
             last = key
-            cores.append(read_back(k, span, size, joined, result))
+            records.append((key, span, text))
             continue
         raise ValueError(f"core file line {line}: {problem}")
     if seen is not None:
-        cores.sort(key=SpanCore.sort_key)
-    result.cores = tuple(cores)
-    return result
+        records.sort()  # keys are distinct, so only they are compared
+    ids: dict[str, int] = {}
+    members_of: dict[str, frozenset[int]] = {}
+    for text in dict.fromkeys([text for _, _, text in records]):  # in order of first appearance
+        labels = text.split(MEMBER_SEPARATOR)
+        ids.update(zip([label for label in labels if label not in ids], count(len(ids))))
+        members_of[text] = frozenset(map(ids.__getitem__, labels))
+    for i, ((_, _, k), span, text) in enumerate(records):
+        records[i] = SpanCore(k, span, members_of[text])
+    return DecompositionResult(tuple(records), tuple(ids), RunMetrics())
 
 
 def read_cores_csv(stream: TextIO) -> DecompositionResult:
@@ -124,17 +146,14 @@ def _csv_rows(reader) -> Iterator[Row]:
         # A valid row pays for no check beyond these; the handler names the fault.
         try:
             k, t_s, t_e, size, members = row
-            labels = members.split(MEMBER_SEPARATOR) if members else []
-            if int(size) == len(labels):
-                yield reader.line_num, int(k), int(t_s), int(t_e), labels, members
-                continue
-            problem = f"size field {size} disagrees with {len(labels)} members"
+            record = reader.line_num, int(k), int(t_s), int(t_e), int(size), members
         except ValueError:
             if len(row) != len(CORE_CSV_HEADER):
                 problem = f"expected {len(CORE_CSV_HEADER)} fields, got {len(row)}"
             else:
                 problem = "k, t_s, t_e and size must be integers"
-        raise ValueError(f"core file line {reader.line_num}: {problem}")
+            raise ValueError(f"core file line {reader.line_num}: {problem}") from None
+        yield record
 
 
 def read_cores_jsonl(stream: TextIO) -> DecompositionResult:
@@ -150,7 +169,7 @@ def _jsonl_rows(stream: TextIO) -> Iterator[Row]:
             k, t_s, t_e, labels = _jsonl_row(json.loads(line))
         except ValueError as error:
             raise ValueError(f"core file line {line_number}: {error}") from None
-        yield line_number, k, t_s, t_e, labels, MEMBER_SEPARATOR.join(labels)
+        yield line_number, k, t_s, t_e, None, MEMBER_SEPARATOR.join(labels)
 
 
 def _jsonl_row(record) -> tuple[int, int, int, list[str]]:
@@ -168,6 +187,8 @@ def _jsonl_row(record) -> tuple[int, int, int, list[str]]:
     for label in members:
         if MEMBER_SEPARATOR in label:
             raise ValueError(f"member {label!r} holds the member separator {MEMBER_SEPARATOR!r}")
+    if members == [""]:  # joins to "", the text of [], so the reader cannot see it
+        raise ValueError("empty member label")
     return (*numbers, members)
 
 

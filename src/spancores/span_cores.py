@@ -15,48 +15,23 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .core_kernel import core_decomposition
-from .temporal_graph import MEMBER_SEPARATOR, Edge, Interval, TemporalGraph, edges_in_interval
+from .temporal_graph import Edge, Interval, TemporalGraph, edges_in_interval
 
 
 class SpanCore:
     """One span-core: order, interval, member vertex ids, member count.
 
-    A core read back from a core file holds its member labels, joined by
-    MEMBER_SEPARATOR, until something asks for `members`; that first access
-    numbers the labels of every core of its result (see
-    `DecompositionResult.labels`). `size` never needs the ids.
+    A core read back from a core file shares its `members` frozenset with
+    every core of its result that lists the same members.
     """
 
-    __slots__ = ("order", "span", "size", "_members", "_unnumbered")
+    __slots__ = ("order", "span", "size", "members")
 
     def __init__(self, order: int, span: Interval, members: frozenset[int]):
         self.order = order
         self.span = span
         self.size = len(members)
-        self._members = members
-        # The result whose labels this core's members still wait for.
-        self._unnumbered: DecompositionResult | None = None
-
-    @classmethod
-    def _read_back(cls, order: int, span: Interval, size: int, labels: str,
-                   result: DecompositionResult) -> SpanCore:
-        """A read-back core of `result`, which numbers its `size` labels on demand.
-
-        `labels` holds them joined by MEMBER_SEPARATOR.
-        """
-        core = cls.__new__(cls)
-        core.order = order
-        core.span = span
-        core.size = size
-        core._members = labels
-        core._unnumbered = result
-        return core
-
-    @property
-    def members(self) -> frozenset[int]:
-        if self._unnumbered is not None:
-            self._unnumbered._number_labels()
-        return self._members
+        self.members = members
 
     def sort_key(self) -> tuple[int, int, int]:
         return (self.span.start, self.span.end, self.order)
@@ -93,38 +68,18 @@ class DecompositionResult:
     """Engine output: cores sorted by (start, end, order), plus label table.
 
     Vertex id u is labelled `labels[u]`. A result read back from a core file
-    numbers its labels only when `labels` or some core's `members` is first
-    asked for, in order of first appearance across its cores, so summaries
-    that need only orders, spans and sizes never pay for it.
+    numbers its labels in order of first appearance across its cores.
     """
 
-    __slots__ = ("cores", "metrics", "_labels")
+    __slots__ = ("cores", "labels", "metrics")
 
-    def __init__(self, cores: tuple[SpanCore, ...], labels: tuple[str, ...] | None,
-                 metrics: RunMetrics):
+    def __init__(self, cores: tuple[SpanCore, ...], labels: tuple[str, ...], metrics: RunMetrics):
         self.cores = cores
+        self.labels = labels
         self.metrics = metrics
-        # None only for a result read back from a core file, until it numbers its labels.
-        self._labels = labels
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        if self._labels is None:
-            self._number_labels()
-        return self._labels
-
-    def _number_labels(self) -> None:
-        ids: dict[str, int] = {}
-        for core in self.cores:
-            core._members = frozenset([ids.setdefault(label, len(ids))
-                                       for label in core._members.split(MEMBER_SEPARATOR)])
-            core._unnumbered = None
-        self._labels = tuple(ids)
 
     def member_labels(self, core: SpanCore) -> list[str]:
-        if core._unnumbered is not None:
-            return sorted(core._members.split(MEMBER_SEPARATOR))
-        return sorted(map(self.labels.__getitem__, core._members))
+        return sorted(map(self.labels.__getitem__, core.members))
 
 
 def kernel_vertices(g: TemporalGraph, edges: frozenset[Edge]) -> set[int] | range:

@@ -78,6 +78,11 @@ class TestActivityGrid:
         grid = activity_grid(naive_span_cores(g_ex), min_span=2)
         assert grid == {(0, 2): 2, (1, 2): 1, (0, 3): 1}
 
+    @pytest.mark.parametrize("min_span", [0, -1])
+    def test_min_span_below_one_is_rejected(self, g_ex, min_span):
+        with pytest.raises(ValueError, match=f"min_span must be at least 1, got {min_span}"):
+            activity_grid(naive_span_cores(g_ex), min_span=min_span)
+
     def test_cell_value_is_the_innermost_order(self):
         rng = random.Random(20)
         g = random_temporal_graph(rng, max_vertices=10, max_timestamps=5)

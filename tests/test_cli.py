@@ -325,6 +325,8 @@ class TestErrorsAndDeterminism:
         ("1,0,0,2,a;b,x", "line 3: expected 5 fields, got 6"),
         ("1,zero,0,2,a;b", "line 3: k, t_s, t_e and size must be integers"),
         ("1,0,0,3,a;b", "line 3: size field 3 disagrees with 2 members"),
+        ("1,0,1,3,a;b", "line 3: size field 3 disagrees with 2 members"),
+        ("0,0,1,3,a;b", "line 3: size field 3 disagrees with 2 members"),
         ("1,3,1,2,a;b", "line 3: interval [3,1] needs 0 <= t_s <= t_e"),
         ("1,-1,0,2,a;b", "line 3: interval [-1,0] needs 0 <= t_s <= t_e"),
         ("1,0,1,2,a;a", "line 3: member 'a' is listed twice"),
@@ -340,6 +342,32 @@ class TestErrorsAndDeterminism:
         error = capsys.readouterr().err.strip().splitlines()
         assert len(error) == 1 and message in error[0]
 
+    def test_missing_positives_file_exits_2_before_the_input_is_read(self, contact_file,
+                                                                     tmp_path, capsys):
+        positives = tmp_path / "absent.txt"
+        assert run("anomaly", "--input", contact_file, "--tr", 1, "--positives", positives,
+                   "--out", tmp_path / "o") == 2
+        error = capsys.readouterr().err.strip().splitlines()
+        assert error == [f"error: positive-timestamp file not found: {positives}"]
+
+    def test_unknown_attribute_exits_2_before_the_core_file_is_read(self, tmp_path, capsys):
+        attrs = tmp_path / "attrs.csv"
+        attrs.write_text("label,dept\na,P\n")
+        assert run("purity", "--cores", tmp_path / "absent.csv", "--attributes", attrs,
+                   "--attribute", "role", "--out", tmp_path / "o") == 2
+        error = capsys.readouterr().err.strip().splitlines()
+        assert len(error) == 1 and error[0].startswith("error: unknown attribute 'role'")
+
+    @pytest.mark.parametrize("min_span", [0, -3])
+    def test_grid_min_span_below_one_exits_2(self, contact_file, tmp_path, capsys, min_span):
+        assert run("decompose", "--input", contact_file, "--out", tmp_path) == 0
+        capsys.readouterr()
+        assert run("grid", "--cores", tmp_path / "cores.csv", "--min-span", min_span,
+                   "--out", tmp_path / "o") == 2
+        error = capsys.readouterr().err.strip().splitlines()
+        assert error == [f"error: min_span must be at least 1, got {min_span}"]
+        assert not (tmp_path / "o").exists()
+
     def test_bad_positive_timestamp_names_file_and_line(self, tmp_path, capsys):
         contacts = tmp_path / "contacts.txt"
         contacts.write_text(G_EX_CONTACTS)
@@ -354,6 +382,7 @@ class TestErrorsAndDeterminism:
         ("name,dept\na,P\n", "line 1: attribute CSV must start with 'label,<attr>,...'"),
         ("label,dept\na,P\nb\n", "line 3: attribute row ['b'] does not match header width"),
         ("label,dept\na,P\nb,Q,R\n", "line 3: attribute row ['b', 'Q', 'R'] does not match"),
+        ("label,dept\na,P\nb,Q\na,R\n", "line 4: label 'a' is listed twice"),
     ])
     def test_bad_attribute_row_names_file_and_line(self, contact_file, tmp_path, capsys,
                                                    table, message):

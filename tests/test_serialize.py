@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import gc
 import io
 import json
+import random
 from itertools import combinations
 
 import pytest
@@ -114,13 +116,18 @@ class TestReadBack:
         assert stats_by_span(loaded) == [(1, 2, 2.5)]
         assert activity_grid(loaded) == {(0, 1): 2}
         assert [loaded.member_labels(c) for c in loaded.cores] == [["b", "c", "d"], ["a", "b"]]
-        assert loaded._labels is None
 
     def test_labels_are_numbered_in_order_of_first_appearance(self):
         loaded = read_cores_csv(io.StringIO(self.CSV))
         assert [c.members for c in loaded.cores] == [frozenset({0, 1, 2}), frozenset({3, 0})]
         assert loaded.labels == ("b", "c", "d", "a")
         assert [c.size for c in loaded.cores] == [3, 2]
+
+    def test_cores_with_the_same_members_share_one_set(self):
+        text = "k,t_s,t_e,size,members\n1,0,0,2,a;b\n1,0,1,2,a;b\n1,1,1,2,b;c\n"
+        first, second, third = read_cores_csv(io.StringIO(text)).cores
+        assert first.members is second.members
+        assert third.members == frozenset({1, 2})
 
     def test_repeated_core_out_of_order_names_its_line(self):
         text = "k,t_s,t_e,size,members\n1,0,1,1,a\n1,0,0,1,a\n1,0,1,1,b\n"
@@ -163,6 +170,21 @@ def test_read_back_result_behaves_like_the_engine_result(g, engine, fmt, rng):
     assert cores_to_csv(shuffled) == cores_to_csv(result)
     assert as_triples(shuffled) == as_triples(loaded)
     assert shuffled.labels == loaded.labels
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_a_deleted_read_back_result_leaves_no_cyclic_garbage(fmt):
+    result = span_cores(random_temporal_graph(random.Random(5)))
+    text = cores_to_csv(result) if fmt == "csv" else cores_to_jsonl(result)
+    gc.collect()
+    gc.disable()
+    try:
+        loaded = read_cores(io.StringIO(text), fmt)
+        assert stats_by_order(loaded) == stats_by_order(result)
+        del loaded
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestMetrics:
