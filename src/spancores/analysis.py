@@ -37,8 +37,7 @@ def stats_by_span(result: DecompositionResult) -> list[tuple[int, int, float]]:
 
 def activity_grid(result: DecompositionResult, min_span: int = 1) -> dict[tuple[int, int], int]:
     """Highest order per (start, width) cell, dropping widths below min_span."""
-    if min_span < 1:
-        raise ValueError(f"min_span must be at least 1, got {min_span}")
+    check_min_span(min_span)
     grid: dict[tuple[int, int], int] = {}
     for core in result.cores:
         if core.span.width < min_span:
@@ -47,6 +46,12 @@ def activity_grid(result: DecompositionResult, min_span: int = 1) -> dict[tuple[
         if core.order > grid.get(cell, 0):
             grid[cell] = core.order
     return grid
+
+
+def check_min_span(min_span: int) -> None:
+    """Raise ValueError unless min_span >= 1."""
+    if min_span < 1:
+        raise ValueError(f"min_span must be at least 1, got {min_span}")
 
 
 class AttributeTable:
@@ -268,6 +273,13 @@ def detect_anomalies(g: TemporalGraph, maximal: DecompositionResult, tr: int,
     )
 
 
+def check_positive_timestamps(positives: Iterable[int], t_max: int) -> None:
+    """Raise ValueError unless every positive timestamp lies in 0..t_max."""
+    out_of_range = sorted({t for t in positives if not 0 <= t <= t_max})
+    if out_of_range:
+        raise ValueError(f"positive timestamps {out_of_range} outside 0..{t_max}")
+
+
 def precision_recall(original: TemporalGraph, report: AnomalyReport,
                      positive_timestamps: Iterable[int]) -> tuple[float | None, float | None]:
     """Score removed contacts against ground-truth anomalous timestamps.
@@ -280,9 +292,7 @@ def precision_recall(original: TemporalGraph, report: AnomalyReport,
     score nothing.
     """
     positives = set(positive_timestamps)
-    out_of_range = [t for t in positives if not 0 <= t <= original.t_max]
-    if out_of_range:
-        raise ValueError(f"positive timestamps {sorted(out_of_range)} outside 0..{original.t_max}")
+    check_positive_timestamps(positives, original.t_max)
     tp = fp = fn = 0
     for t in original.nonempty_times:
         total = len(original.edges_at(t))

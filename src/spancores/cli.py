@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Every subcommand reads its inputs, writes its artifacts atomically into the
-output directory, and drops a run-manifest.json echoing the configuration so
-a run can be repeated exactly. All randomness flows from --seed.
+Every subcommand checks its parameters and side inputs before its main input
+and writes its artifacts atomically into the output directory. After it
+succeeds, `main` drops a run-manifest.json echoing the configuration so a run
+can be repeated exactly. All randomness flows from --seed.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from .analysis import (
     AttributeTable,
     activity_grid,
     check_anomaly_thresholds,
+    check_min_span,
+    check_positive_timestamps,
     detect_anomalies,
     precision_recall,
     purity_curve,
@@ -37,17 +40,13 @@ from .serialize import (
     table_to_csv,
 )
 from .span_cores import naive_span_cores, span_cores
-from .temporal_graph import contact_lines, ingest_contacts, parse_contact_lines
+from .temporal_graph import check_window, contact_lines, ingest_contacts, parse_contact_lines
 
 DEFAULT_SEED = 0
 # Every input file is read with this codec, which drops a leading UTF-8
 # byte-order mark instead of making it part of the first label or field.
 # Artifacts are written as plain UTF-8.
 _READ_ENCODING = "utf-8-sig"
-
-
-class CliError(Exception):
-    pass
 
 
 def _log(message: str) -> None:
@@ -75,7 +74,7 @@ def _umask() -> int:
     return mask
 
 
-def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace) -> None:
+def _write_manifest(args: argparse.Namespace) -> None:
     config = {
         key: value for key, value in sorted(vars(args).items())
         if key not in ("func", "command")
@@ -83,22 +82,28 @@ def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace) -> No
     manifest = {
         "tool": "spancores",
         "version": __version__,
-        "command": command,
+        "command": args.command,
         "config": config,
     }
-    _write_atomic(out_dir / "run-manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_atomic(Path(args.out) / "run-manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def _open_input(path_text: str, what: str):
+    """Open an input file for reading; its `name` is the path as messages show it."""
+    path = Path(path_text)
+    if not path.exists():
+        raise ValueError(f"{what} not found: {path}")
+    return path.open(encoding=_READ_ENCODING)
 
 
 def _load_graph(args: argparse.Namespace):
-    path = Path(args.input)
-    if not path.exists():
-        raise CliError(f"input file not found: {path}")
-    with path.open(encoding=_READ_ENCODING) as handle:
+    check_window(args.window)  # before the input is read
+    with _open_input(args.input, "input file") as handle:
         contacts, skipped = parse_contact_lines(handle, strict=args.strict)
     if skipped:
         _log(f"skipped {skipped} malformed contact line(s)")
     if not contacts:
-        raise CliError(f"no contacts in {path}")
+        raise ValueError(f"no contacts in {handle.name}")
     graph = ingest_contacts(contacts, window=args.window, origin=args.origin)
     _log(f"ingested {len(contacts)} contacts -> {graph!r}")
     return graph
@@ -124,7 +129,7 @@ def _run_engine(engine, graph, bench: bool):
     return result, bench_payload
 
 
-def cmd_cores(args) -> int:
+def cmd_cores(args) -> None:
     """Run `decompose` or `maximal`: the chosen engine, then its core file and metrics."""
     graph = _load_graph(args)
     # Looked up on every call, so that a wrapped engine is the one that runs.
@@ -142,78 +147,56 @@ def cmd_cores(args) -> int:
     if bench_payload is not None:
         _write_atomic(out_dir / "bench.json", json.dumps(bench_payload, indent=2) + "\n")
     _log(f"wrote {stem}.{args.format} ({len(result.cores)} records)")
-    _write_manifest(out_dir, args.command, args)
-    return 0
 
 
 def _read_core_file(path_text: str):
-    path = Path(path_text)
-    if not path.exists():
-        raise CliError(f"core file not found: {path}")
-    fmt = "jsonl" if path.suffix == ".jsonl" else "csv"
-    with path.open(encoding=_READ_ENCODING) as handle:
+    fmt = "jsonl" if Path(path_text).suffix == ".jsonl" else "csv"
+    with _open_input(path_text, "core file") as handle:
         return read_cores(handle, fmt)
 
 
-def cmd_stats(args) -> int:
+def cmd_stats(args) -> None:
     result = _read_core_file(args.cores)
     out_dir = Path(args.out)
     _write_atomic(out_dir / "stats_by_order.csv",
                   table_to_csv(["k", "count", "mean_size"], stats_by_order(result)))
     _write_atomic(out_dir / "stats_by_span.csv",
                   table_to_csv(["span", "count", "mean_size"], stats_by_span(result)))
-    _write_manifest(out_dir, "stats", args)
     _log(f"wrote stats for {len(result.cores)} cores")
-    return 0
 
 
-def cmd_grid(args) -> int:
-    result = _read_core_file(args.cores)
-    grid = activity_grid(result, min_span=args.min_span)
+def cmd_grid(args) -> None:
+    check_min_span(args.min_span)  # before the core file is read
+    grid = activity_grid(_read_core_file(args.cores), min_span=args.min_span)
     rows = [(t_s, width, grid[(t_s, width)]) for t_s, width in sorted(grid)]
-    out_dir = Path(args.out)
-    _write_atomic(out_dir / "grid.csv", table_to_csv(["t_s", "span", "k"], rows))
-    _write_manifest(out_dir, "grid", args)
-    return 0
+    _write_atomic(Path(args.out) / "grid.csv", table_to_csv(["t_s", "span", "k"], rows))
 
 
-def cmd_purity(args) -> int:
-    attrs_path = Path(args.attributes)
-    if not attrs_path.exists():
-        raise CliError(f"attribute file not found: {attrs_path}")
-    with attrs_path.open(encoding=_READ_ENCODING) as handle:
+def cmd_purity(args) -> None:
+    with _open_input(args.attributes, "attribute file") as handle:
         try:
             table = AttributeTable.from_csv(handle)
         except ValueError as error:
-            raise CliError(f"{attrs_path} {error}") from None
+            raise ValueError(f"{handle.name} {error}") from None
     table.check_attribute(args.attribute)  # before the core file is read
     result = _read_core_file(args.cores)
     curve = purity_curve(result, table, args.attribute)
     if curve.skipped_vertices:
         _log(f"skipped {curve.skipped_vertices} member(s) without a value")
-    out_dir = Path(args.out)
     rows = sorted(curve.by_timestamp.items())
-    _write_atomic(out_dir / "purity.csv", table_to_csv(["t", "purity"], rows))
-    _write_manifest(out_dir, "purity", args)
-    return 0
+    _write_atomic(Path(args.out) / "purity.csv", table_to_csv(["t", "purity"], rows))
 
 
-def cmd_shuffle(args) -> int:
+def cmd_shuffle(args) -> None:
     graph = _load_graph(args)
     shuffled = reshuffle_timestamps(graph, seed=args.seed)
-    out_dir = Path(args.out)
-    _write_atomic(out_dir / "shuffled.txt", "".join(line + "\n" for line in contact_lines(shuffled)))
-    _write_manifest(out_dir, "shuffle", args)
+    _write_atomic(Path(args.out) / "shuffled.txt", "".join(line + "\n" for line in contact_lines(shuffled)))
     _log(f"reshuffled {shuffled.contact_count()} contacts with seed {args.seed}")
-    return 0
 
 
 def _read_positives(path_text: str) -> list[int]:
-    path = Path(path_text)
-    if not path.exists():
-        raise CliError(f"positive-timestamp file not found: {path}")
     positives = []
-    with path.open(encoding=_READ_ENCODING) as handle:
+    with _open_input(path_text, "positive-timestamp file") as handle:
         for line_number, line in enumerate(handle, start=1):
             text = line.strip()
             if not text:
@@ -221,15 +204,17 @@ def _read_positives(path_text: str) -> list[int]:
             try:
                 positives.append(int(text))
             except ValueError:
-                raise CliError(f"{path} line {line_number}: expected an integer timestamp, "
-                               f"got {text!r}") from None
+                raise ValueError(f"{handle.name} line {line_number}: expected an integer "
+                                 f"timestamp, got {text!r}") from None
     return positives
 
 
-def cmd_anomaly(args) -> int:
+def cmd_anomaly(args) -> None:
     check_anomaly_thresholds(args.tr, args.ratio)  # before the input is read
     positives = None if args.positives is None else _read_positives(args.positives)
     graph = _load_graph(args)
+    if positives is not None:
+        check_positive_timestamps(positives, graph.t_max)  # before the engine runs
     maximal = maximal_span_cores(graph)
     report = detect_anomalies(graph, maximal, tr=args.tr, ratio=args.ratio)
     payload = {
@@ -252,10 +237,8 @@ def cmd_anomaly(args) -> int:
     _write_atomic(out_dir / "anomaly-report.json", json.dumps(payload, indent=2) + "\n")
     _write_atomic(out_dir / "cleaned-contacts.txt",
                   "".join(line + "\n" for line in contact_lines(report.surviving)))
-    _write_manifest(out_dir, "anomaly", args)
     _log(f"flagged {len(report.anomalous_intervals)} interval(s), "
          f"dropped {len(report.dropped_timestamps)} timestamp(s)")
-    return 0
 
 
 def _add_ingest_flags(parser: argparse.ArgumentParser) -> None:
@@ -339,16 +322,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except CliError as error:
-        _log(f"error: {error}")
-        return 2
+        args.func(args)
+        _write_manifest(args)
     except (ValueError, OSError) as error:
         _log(f"error: {error}")
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -97,16 +97,17 @@ def kernel_vertices(g: TemporalGraph, edges: frozenset[Edge]) -> set[int] | rang
 
 
 def _emit_cores(labeling, span: Interval, out: list[SpanCore], metrics: RunMetrics) -> frozenset[int]:
-    """Append the k-cores of one interval, k descending; returns the 1-core."""
+    """Append the k-cores of one interval, k from max_order (at least 1) down; return the 1-core."""
     by_order = defaultdict(list)
     for u, c in labeling.coreness.items():
         by_order[c].append(u)
     members: set[int] = set()
     for k in range(labeling.max_order, 0, -1):
         members.update(by_order.get(k, ()))
-        out.append(SpanCore(k, span, frozenset(members)))
+        core = SpanCore(k, span, frozenset(members))
+        out.append(core)
         metrics.cores_emitted += 1
-    return frozenset(members)
+    return core.members
 
 
 def naive_span_cores(g: TemporalGraph) -> DecompositionResult:

@@ -352,8 +352,7 @@ def ingest_contacts(contacts: Iterable[Contact], window: int = 1,
                                   [raw_time for _, _, raw_time in contacts])
     if not contacts:
         raise ValueError("no contacts")
-    if window < 1:
-        raise ValueError(f"window must be a positive integer, got {window}")
+    check_window(window)
     raw_times = dict.fromkeys(contacts.times)
     origin = _origin(raw_times, origin)
     ids = dict(zip(dict.fromkeys(contacts.labels), count()))
@@ -370,6 +369,12 @@ def ingest_contacts(contacts: Iterable[Contact], window: int = 1,
     edges_by_time = {t: frozenset(edges) for t, edges in windows.items() if edges}
     return TemporalGraph._from_canonical(ids, (max(raw_times) - origin) // window,
                                          edges_by_time)
+
+
+def check_window(window: int) -> None:
+    """Raise ValueError unless window >= 1."""
+    if window < 1:
+        raise ValueError(f"window must be a positive integer, got {window}")
 
 
 def _origin(raw_times: dict[int, object], origin: int | None) -> int:

@@ -260,6 +260,23 @@ class TestAnomaly:
         assert run("anomaly", "--input", planted_file, *flags, "--out", tmp_path / "out") == 2
         assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
 
+    def test_out_of_range_positives_exit_2_before_the_engine_runs(self, planted_file, tmp_path,
+                                                                  capsys, monkeypatch):
+        def engine(graph):
+            raise AssertionError("the engine ran before the positives were checked")
+        monkeypatch.setattr(spancores.cli, "maximal_span_cores", engine)
+        t_max = ingest_contacts(parse_contact_lines(planted_file.read_text().splitlines())[0],
+                                origin=0).t_max
+        positives = tmp_path / "positives.txt"
+        positives.write_text(f"99999\n-1\n{t_max}\n99999\n")
+        out = tmp_path / "out"
+        assert run("anomaly", "--input", planted_file, "--origin", 0, "--tr", 5,
+                   "--positives", positives, "--out", out) == 2
+        error = capsys.readouterr().err.strip().splitlines()
+        assert [line for line in error if line.startswith("error")] == [
+            f"error: positive timestamps [-1, 99999] outside 0..{t_max}"]
+        assert not out.exists()
+
 
 class TestErrorsAndDeterminism:
     def test_missing_input_fails_cleanly(self, tmp_path):
@@ -362,10 +379,22 @@ class TestErrorsAndDeterminism:
     def test_grid_min_span_below_one_exits_2(self, contact_file, tmp_path, capsys, min_span):
         assert run("decompose", "--input", contact_file, "--out", tmp_path) == 0
         capsys.readouterr()
-        assert run("grid", "--cores", tmp_path / "cores.csv", "--min-span", min_span,
+        for cores in (tmp_path / "cores.csv", tmp_path / "absent.csv"):  # checked before reading
+            assert run("grid", "--cores", cores, "--min-span", min_span,
+                       "--out", tmp_path / "o") == 2
+            error = capsys.readouterr().err.strip().splitlines()
+            assert error == [f"error: min_span must be at least 1, got {min_span}"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", [["decompose"], ["maximal"], ["shuffle"],
+                                         ["anomaly", "--tr", "1"]],
+                             ids=["decompose", "maximal", "shuffle", "anomaly"])
+    def test_window_below_one_exits_2_before_the_input_is_opened(self, tmp_path, capsys,
+                                                                 command):
+        assert run(*command, "--input", tmp_path / "absent.txt", "--window", 0,
                    "--out", tmp_path / "o") == 2
         error = capsys.readouterr().err.strip().splitlines()
-        assert error == [f"error: min_span must be at least 1, got {min_span}"]
+        assert error == ["error: window must be a positive integer, got 0"]
         assert not (tmp_path / "o").exists()
 
     def test_bad_positive_timestamp_names_file_and_line(self, tmp_path, capsys):
