@@ -20,14 +20,16 @@ CORE_CSV_HEADER = ["k", "t_s", "t_e", "size", "members"]
 
 
 def cores_to_csv(result: DecompositionResult) -> str:
+    """Each distinct member set is sorted and joined once; most cores repeat one."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CORE_CSV_HEADER)
+    joined: dict[frozenset[int], str] = {}
     for core in result.cores:
-        writer.writerow([
-            core.order, core.span.start, core.span.end,
-            core.size, MEMBER_SEPARATOR.join(result.member_labels(core)),
-        ])
+        text = joined.get(core.members)
+        if text is None:
+            text = joined[core.members] = MEMBER_SEPARATOR.join(result.member_labels(core))
+        writer.writerow([core.order, core.span.start, core.span.end, core.size, text])
     return out.getvalue()
 
 

@@ -4,7 +4,8 @@ A span-core of order k over interval D is the largest vertex set in which
 every member keeps at least k neighbors inside the set at every timestamp of
 D. Two engines compute all of them: a per-interval baseline and a pruned
 search that hands each core-decomposition call only vertices that survived
-both one-step-smaller intervals.
+both one-step-smaller intervals, and makes no call for an interval that keeps
+all the edges of one of them.
 """
 
 from __future__ import annotations
@@ -55,8 +56,9 @@ class RunMetrics:
     processed_vertices is the cost model the engines compete on. The naive
     engine charges |V| for every interval it decomposes. The pruned engine
     charges |V| for a single-timestamp interval, since any vertex may be in
-    its order-1 core, and the candidates it hands the kernel for a wider
-    one. The direct maximal engine charges the candidates of every interval.
+    its order-1 core, and the candidates of every wider interval it visits,
+    whether it decomposes it or reuses a parent's cores. The direct maximal
+    engine charges the candidates of every interval.
     """
 
     processed_vertices: int = 0
@@ -147,36 +149,60 @@ def span_cores(g: TemporalGraph) -> DecompositionResult:
     order-1 core, so the intersection is exactly the edges of [s, e] among
     the candidates, and decomposition calls shrink as intervals grow.
 
+    That intersection is a subset of both parents' edge sets. When it is as
+    large as one of them, it is that parent's set, and coreness depends only
+    on the edges, so [s, e] has the parent's cores over a wider span: they
+    are re-emitted, sharing the parent's member sets, and the kernel is not
+    called. Every visited interval is charged its candidates either way.
+
     A level maps the start of each interval of the current width that
-    yielded cores to (order-1 core, kernel edges). Only non-empty timestamps
-    seed the first level, so no visited interval covers an empty timestamp.
+    yielded cores to (order-1 core, kernel edges, emitted cores). Only
+    non-empty timestamps seed the first level, so no visited interval covers
+    an empty timestamp.
     """
     started = time.perf_counter()
     metrics = RunMetrics()
     cores: list[SpanCore] = []
-    level: dict[int, tuple[frozenset[int], frozenset[Edge]]] = {}
+    level: dict[int, tuple[frozenset[int], frozenset[Edge], list[SpanCore]]] = {}
+
+    def decompose(vertices, edges, span):
+        emitted = len(cores)
+        order_one = _emit_cores(core_decomposition(vertices, edges), span, cores, metrics)
+        return order_one, edges, cores[emitted:]
+
     for t in g.nonempty_times:
         span = Interval(t, t)
         edges = edges_in_interval(g, span)
-        labeling = core_decomposition(kernel_vertices(g, edges), edges)
+        level[t] = decompose(kernel_vertices(g, edges), edges, span)
         metrics.processed_vertices += g.vertex_count
-        level[t] = (_emit_cores(labeling, span, cores, metrics), edges)
 
     width = 1
     while level:
         wider = {}
-        for t_s, (left_core, left_edges) in level.items():
+        for t_s, left in level.items():
             right = level.get(t_s + 1)
             if right is None:
                 continue
-            edges = left_edges & right[1]
+            (left_core, left_edges, _), (right_core, right_edges, _) = left, right
+            edges = left_edges & right_edges
             if not edges:
                 continue
-            candidates = left_core & right[0]
-            labeling = core_decomposition(candidates, edges)
-            metrics.processed_vertices += len(candidates)
             span = Interval(t_s, t_s + width)
-            wider[t_s] = (_emit_cores(labeling, span, cores, metrics), edges)
+            if len(edges) == len(left_edges):
+                parent = left
+            elif len(edges) == len(right_edges):
+                parent = right
+            else:
+                candidates = left_core & right_core
+                metrics.processed_vertices += len(candidates)
+                wider[t_s] = decompose(candidates, edges, span)
+                continue
+            # The parent's order-1 core holds the endpoints of its edges, which
+            # are edges of the other parent too, so it is the candidate set.
+            order_one, _, shells = wider[t_s] = parent
+            metrics.processed_vertices += len(order_one)
+            cores.extend([SpanCore(shell.order, span, shell.members) for shell in shells])
+            metrics.cores_emitted += len(shells)
         level = wider
         width += 1
     metrics.elapsed = time.perf_counter() - started

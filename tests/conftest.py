@@ -221,6 +221,32 @@ def gappy_temporal_graphs(draw, max_vertices: int = 7, max_timestamps: int = 30)
     return TemporalGraph([f"v{i}" for i in range(n)], edges_by_time)
 
 
+@st.composite
+def sticky_temporal_graphs(draw, max_vertices: int = 8, max_timestamps: int = 20) -> TemporalGraph:
+    """Graphs whose edge set mostly persists from one timestamp to the next.
+
+    Each timestamp copies the previous edge set, adds a few edges, drops a
+    few, or does both. After a copy or an addition, an interval keeps every
+    edge of the interval one step shorter on its right end; after a drop, it
+    can keep every edge of the one a step shorter on its left end. So the
+    pruned engine reuses a parent's cores from either side. A drop may empty
+    a timestamp, which cuts the intervals that cross it.
+    """
+    n = draw(st.integers(2, max_vertices))
+    pairs = st.sampled_from([(i, j) for i in range(n) for j in range(i + 1, n)])
+    edges = draw(st.sets(pairs, min_size=1, max_size=6))
+    edges_by_time = [edges]
+    for step in draw(st.lists(st.sampled_from(["copy", "add", "drop", "both"]),
+                              max_size=max_timestamps - 1)):
+        edges = set(edges)
+        if step in ("add", "both"):
+            edges |= draw(st.sets(pairs, min_size=1, max_size=3))
+        if step in ("drop", "both") and edges:
+            edges -= draw(st.sets(st.sampled_from(sorted(edges)), min_size=1, max_size=3))
+        edges_by_time.append(edges)
+    return TemporalGraph([f"v{i}" for i in range(n)], edges_by_time)
+
+
 def interval_edges(g: TemporalGraph, t_s: int, t_e: int) -> frozenset:
     edges = g.edges_at(t_s)
     for t in range(t_s + 1, t_e + 1):

@@ -81,15 +81,18 @@ def test_traced_pipeline_counts_every_kernel_call(monkeypatch, tmp_path):
             argv = [*step, "--input", str(contacts), "--out", str(tmp_path / step[0])]
             assert cli.main(argv) == 0
     counts = hooks.counts
-    assert counts["span_cores.core_decomposition"] == 6  # five seeds, and [0,1]
+    # The five seeds only: [0,1] keeps the triangle of the seed at 0, so it
+    # takes that seed's cores without a kernel call.
+    assert counts["span_cores.core_decomposition"] == 5
     assert counts["analysis.core_decomposition"] == 1
     for key in ("kernel.vertices_in", "kernel.edges_in", "kernel.labelled"):
         assert type(counts[key]) is int and counts[key] > 0
     # Beside the direct engine's candidates: endpoints only for the seeds at
-    # 0, 1, 5, 9 and for the anomaly pass's [0,1], all nine vertices for the
-    # dense seed at 7, and the candidates of [0,1].
+    # 0, 1, 5, 9 and for the anomaly pass's [0,1], and all nine vertices for
+    # the dense seed at 7. The pruned engine's [0,1] reuses its left parent's
+    # cores, so its candidates never reach the kernel.
     assert (counts["kernel.vertices_in"] - counts["maximal.processed_vertices"]
-            == 3 + 3 + 4 + 2 + 3 + 9 + 3)
+            == 3 + 3 + 4 + 2 + 3 + 9)
 
 
 def test_maximal_run_parses_and_ingests_once(monkeypatch, tmp_path):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import gc
 import io
 import json
@@ -30,7 +31,13 @@ from spancores.serialize import (
     read_cores_jsonl,
     table_to_csv,
 )
-from .conftest import as_triples, gappy_temporal_graphs, random_temporal_graph, writable_label
+from .conftest import (
+    as_triples,
+    gappy_temporal_graphs,
+    random_temporal_graph,
+    sticky_temporal_graphs,
+    writable_label,
+)
 
 
 class TestCsv:
@@ -54,6 +61,18 @@ class TestCsv:
         loaded = read_cores_csv(io.StringIO(cores_to_csv(result)))
         assert as_triples(loaded) == as_triples(result)
         assert cores_to_csv(loaded) == cores_to_csv(result)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sticky_temporal_graphs(), st.sampled_from([span_cores, naive_span_cores]))
+    def test_each_row_lists_its_own_core_members(self, g, engine):
+        # The pruned engine shares one member set among the cores it reuses;
+        # the baseline builds an equal but separate set for every core.
+        result = engine(g)
+        rows = list(csv.reader(io.StringIO(cores_to_csv(result))))[1:]
+        assert [(int(k), int(t_s), int(t_e), int(size), members.split(";"))
+                for k, t_s, t_e, size, members in rows] == [
+            (c.order, c.span.start, c.span.end, c.size, result.member_labels(c))
+            for c in result.cores]
 
     def test_empty_result_keeps_header(self, g_ex):
         from spancores import DecompositionResult, RunMetrics
@@ -147,6 +166,7 @@ def _shuffled_records(text: str, fmt: str, rng) -> str:
            st.randoms(use_true_random=False).map(
                lambda rng: random_temporal_graph(rng, max_vertices=12, max_timestamps=12)),
            gappy_temporal_graphs(),
+           sticky_temporal_graphs(),
        ),
        st.sampled_from([span_cores, maximal_span_cores]),
        st.sampled_from(["csv", "jsonl"]),

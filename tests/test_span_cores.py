@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import random
 
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from spancores import (
     Interval,
     SpanCore,
     TemporalGraph,
+    core_decomposition,
     naive_span_cores,
     span_cores,
 )
@@ -19,6 +21,7 @@ from .conftest import (
     oracle_span_cores,
     random_temporal_graph,
     reference_span_cores,
+    sticky_temporal_graphs,
     temporal_degree,
 )
 
@@ -133,6 +136,7 @@ class TestEngineProperties:
         st.randoms(use_true_random=False).map(
             lambda rng: random_temporal_graph(rng, max_vertices=15, max_timestamps=30)),
         gappy_temporal_graphs(),
+        sticky_temporal_graphs(),
     ))
     def test_matches_the_queue_engine(self, g):
         result = span_cores(g)
@@ -140,6 +144,68 @@ class TestEngineProperties:
         assert result.cores == expected.cores
         assert result.metrics.processed_vertices == expected.metrics.processed_vertices
         assert result.metrics.cores_emitted == expected.metrics.cores_emitted
+
+    @settings(max_examples=150, deadline=None)
+    @given(sticky_temporal_graphs())
+    def test_matches_the_baseline_where_edges_persist(self, g):
+        result = span_cores(g)
+        baseline = naive_span_cores(g)
+        assert result.cores == baseline.cores
+        assert result.metrics.cores_emitted == baseline.metrics.cores_emitted
+        assert result.metrics.processed_vertices <= baseline.metrics.processed_vertices
+
+
+class TestReuse:
+    """An interval that keeps all the edges of a parent takes its cores."""
+
+    @staticmethod
+    def count_kernel_calls(monkeypatch) -> list:
+        calls = []
+
+        def counted(vertices, edges):
+            calls.append(frozenset(edges))
+            return core_decomposition(vertices, edges)
+
+        # The package's `span_cores` attribute is the engine, not the module.
+        engine_module = importlib.import_module("spancores.span_cores")
+        monkeypatch.setattr(engine_module, "core_decomposition", counted)
+        return calls
+
+    def test_constant_graph_decomposes_only_its_seeds(self, monkeypatch):
+        triangle = {(0, 1), (1, 2), (0, 2)}
+        g = TemporalGraph(["a", "b", "c"], [triangle, triangle, triangle])
+        calls = self.count_kernel_calls(monkeypatch)
+        result = span_cores(g)
+        assert len(calls) == 3  # one per timestamp; the wider intervals reuse
+        assert as_triples(result) == oracle_span_cores(g)
+        assert result.metrics.processed_vertices == 3 * 3 + 2 * 3 + 3
+
+    def test_each_parent_can_be_the_one_reused(self, monkeypatch):
+        # [0,1] keeps the edge of its left parent [0,0], and [1,2] the edge
+        # of its right parent [2,2]; [0,2] has no edge.
+        g = TemporalGraph(["a", "b", "c", "d"], [
+            {(0, 1)},
+            {(0, 1), (1, 2), (2, 3)},
+            {(1, 2)},
+        ])
+        calls = self.count_kernel_calls(monkeypatch)
+        result = span_cores(g)
+        assert len(calls) == 3
+        assert as_triples(result) == oracle_span_cores(g) == {
+            (1, (0, 0), frozenset({0, 1})),
+            (1, (1, 1), frozenset({0, 1, 2, 3})),
+            (1, (2, 2), frozenset({1, 2})),
+            (1, (0, 1), frozenset({0, 1})),
+            (1, (1, 2), frozenset({1, 2})),
+        }
+
+    def test_a_shrunken_edge_set_still_reaches_the_kernel(self, monkeypatch):
+        g = TemporalGraph(["a", "b", "c"], [{(0, 1), (1, 2)}, {(0, 1), (0, 2)}])
+        calls = self.count_kernel_calls(monkeypatch)
+        result = span_cores(g)
+        assert calls[-1] == {(0, 1)}  # [0,1] is smaller than either parent
+        assert len(calls) == 3
+        assert as_triples(result) == oracle_span_cores(g)
 
 
 class TestEdgeCases:
