@@ -5,12 +5,17 @@ are processed in nondecreasing order of residual degree, and the degree a
 vertex holds when its turn comes is its coreness. Coreness is unique, so it
 does not depend on the order in which vertices of one degree are peeled.
 Runs in O(|vertices| + |edges|).
+
+One peel loop serves every engine. `core_decomposition` builds adjacency
+lists from an edge list for the full decompositions and the anomaly pass;
+`innermost_core` peels the direct maximal engine's candidates straight from
+the adjacency lists its replay keeps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, MutableSequence, Sequence
 
 from .temporal_graph import Edge
 
@@ -23,34 +28,27 @@ class CoreLabeling:
     max_order: int
 
 
-def core_decomposition(vertices: Iterable[int], edges: Iterable[Edge]) -> CoreLabeling:
-    """Peel the graph and label every non-isolated vertex with its coreness.
+def _peel(vertices: Iterable[int], adjacency, degree) -> dict[int, int]:
+    """Coreness of every vertex of `vertices` whose degree is positive.
 
-    `edges` must connect vertices drawn from `vertices`; a stray endpoint is
-    a caller bug and raises. `buckets[d]` lists the vertices that reached
-    residual degree d: a vertex is appended again each time a peeled neighbour
-    lowers its degree, and an entry whose vertex has since moved lower is
-    skipped. Only the endpoint of an edge peeled later is lowered, so the peel
-    appends at most |V| + |E| entries, and the bucket being walked may grow
-    while it is walked.
+    `adjacency[u]` lists u's neighbours and `degree[u]` holds u's degree
+    within `vertices`; both are dicts or lists indexed by vertex id. A
+    neighbour outside `vertices` must read degree 0, so the peel never
+    lowers it. `degree` is lowered in place and ends holding each vertex's
+    coreness. `buckets[d]` lists the vertices that reached residual degree
+    d: a vertex is appended again each time a peeled neighbour lowers its
+    degree, and an entry whose vertex has since moved lower is skipped. Only
+    the endpoint of an edge peeled later is lowered, so the peel appends at
+    most |V| + |E| entries, and the bucket being walked may grow while it is
+    walked.
     """
-    adjacency: dict[int, list[int]] = {u: [] for u in vertices}
-    for u, v in edges:
-        if u not in adjacency or v not in adjacency:
-            raise ValueError(f"edge ({u},{v}) references a vertex outside the input set")
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-
-    degree = {u: len(nbrs) for u, nbrs in adjacency.items() if nbrs}
-    if not degree:
-        return CoreLabeling({}, 0)
-
-    buckets: list[list[int]] = [[] for _ in range(max(degree.values()) + 1)]
-    for u, d in degree.items():
-        buckets[d].append(u)
+    top = max(map(degree.__getitem__, vertices), default=0)
+    buckets: list[list[int]] = [[] for _ in range(top + 1)]
+    for u in vertices:
+        buckets[degree[u]].append(u)
     coreness: dict[int, int] = {}
-    for d, bucket in enumerate(buckets):
-        for u in bucket:
+    for d in range(1, top + 1):  # bucket 0 holds the isolated vertices
+        for u in buckets[d]:
             if degree[u] != d:
                 continue
             coreness[u] = d
@@ -58,15 +56,49 @@ def core_decomposition(vertices: Iterable[int], edges: Iterable[Edge]) -> CoreLa
                 if degree[v] > d:
                     degree[v] -= 1
                     buckets[degree[v]].append(v)
-    return CoreLabeling(coreness, max(coreness.values()))
+    return coreness
 
 
-def innermost_core(vertices: Iterable[int], edges: Iterable[Edge]) -> tuple[int, frozenset[int]]:
-    """Order and members of the highest-order core; (0, empty) if edgeless."""
-    labeling = core_decomposition(vertices, edges)
-    if labeling.max_order == 0:
+def core_decomposition(vertices: Iterable[int], edges: Iterable[Edge]) -> CoreLabeling:
+    """Peel the graph and label every non-isolated vertex with its coreness.
+
+    `edges` must connect vertices drawn from `vertices`; a stray endpoint is
+    a caller bug and raises.
+    """
+    adjacency: dict[int, list[int]] = {u: [] for u in vertices}
+    for u, v in edges:
+        if u not in adjacency or v not in adjacency:
+            raise ValueError(f"edge ({u},{v}) references a vertex outside the input set")
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    degree = {u: len(nbrs) for u, nbrs in adjacency.items() if nbrs}
+    coreness = _peel(degree, adjacency, degree)
+    return CoreLabeling(coreness, max(coreness.values(), default=0))
+
+
+def innermost_core(candidates: Sequence[int], adjacency: Sequence[Sequence[int]],
+                   degree: Sequence[int], bound: int,
+                   work: MutableSequence[int]) -> tuple[int, frozenset[int]]:
+    """Order and members of the candidates' highest-order core; (0, empty) if edgeless.
+
+    The graph is the subgraph the candidates induce. `adjacency[u]` lists
+    every neighbour of vertex u and `degree[u]` is its length. The
+    candidates are exactly the vertices whose degree beats `bound`, so a
+    candidate's induced degree is its degree minus its neighbours at or
+    below the bound. `work` holds one zero per vertex id; the peel counts in
+    it and leaves it all zeros again.
+    """
+    for u in candidates:
+        d = degree[u]
+        if bound:
+            for v in adjacency[u]:
+                if degree[v] <= bound:
+                    d -= 1
+        work[u] = d
+    coreness = _peel(candidates, adjacency, work)
+    for u in candidates:
+        work[u] = 0
+    if not coreness:
         return 0, frozenset()
-    members = frozenset(
-        u for u, c in labeling.coreness.items() if c == labeling.max_order
-    )
-    return labeling.max_order, members
+    order = max(coreness.values())
+    return order, frozenset(u for u, c in coreness.items() if c == order)

@@ -4,9 +4,12 @@ A span-core is maximal when no other span-core has at least its order and an
 interval covering its own. Two routes: filter the full decomposition, or walk
 intervals directly from widest to narrowest per start time, using orders
 already established for neighboring intervals as lower bounds that prune
-both candidate vertices and whole intervals. The direct walk counts degrees
-in one list for the whole run and resets only the vertices a start time
-touched, so its replay cost follows the arriving edges, not |V| per start.
+both candidate vertices and whole intervals. The direct walk keeps each
+vertex's degree and neighbour list in run-wide lists indexed by vertex id,
+adds only the edges that arrive at each step, and resets only the vertices a
+start time touched, so its replay cost follows the arriving edges, not |V|
+or the interval's whole edge set per step. The kernel peels the candidates
+straight from those neighbour lists.
 """
 
 from __future__ import annotations
@@ -75,11 +78,14 @@ def maximal_span_cores(g: TemporalGraph, trace: MaximalTrace | None = None) -> D
     """Direct engine: visit intervals widest-first within each start time.
 
     For a fixed start, interval edge sets are replayed from the
-    difference encoding, growing as the end moves earlier. Before
-    decomposing an interval, its innermost order is lower-bounded by the
-    orders of the two intervals that extend it (one more timestamp before
-    the start, one fewer trimmed from the end); only vertices whose degree
-    beats the bound can matter, and the interval is skipped as non-maximal
+    difference encoding, growing as the end moves earlier: the edges of the
+    widest interval arrive first, then each step's diff set, and every
+    arriving edge raises both endpoints' degrees and joins both neighbour
+    lists. Before decomposing an interval, its innermost order is
+    lower-bounded by the orders of the two intervals that extend it (one
+    more timestamp before the start, one fewer trimmed from the end); only
+    vertices whose degree beats the bound can matter, so they are the
+    candidates the kernel peels, and the interval is skipped as non-maximal
     unless it strictly beats the bound.
     """
     started = time.perf_counter()
@@ -89,34 +95,37 @@ def maximal_span_cores(g: TemporalGraph, trace: MaximalTrace | None = None) -> D
     # start times; it is never reset. Intervals with edges cover only
     # non-empty timestamps, so only those need an entry.
     k_prime = dict.fromkeys(g.nonempty_times, 0)
-    # Degrees in the current start's replay; only the touched vertices are
-    # ever non-zero, and they are zeroed again before the next start.
+    # Degrees and neighbour lists in the current start's replay; only the
+    # touched vertices ever have either, and both are dropped again before
+    # the next start. `work` is the kernel's scratch list, all zeros between
+    # calls.
     degree = [0] * g.vertex_count
+    adjacency: list[list[int] | None] = [None] * g.vertex_count
+    work = [0] * g.vertex_count
     for t_s in g.nonempty_times:
-        t_star, removed = edge_diff_sets(g, t_s)
-        edges = set(g.edges_at(t_s)).difference(*removed)  # edges of [t_s, t_star]
+        t_star, removed, arriving = edge_diff_sets(g, t_s)
         touched: list[int] = []  # vertices of degree >= 1, in order of arrival
         k_trim = 0  # innermost order seen for [t_s, t_e + 1]
         for t_e in range(t_star, t_s - 1, -1):
-            arriving = edges if t_e == t_star else removed[t_e - t_s]
             if t_e != t_star:
-                edges |= arriving
+                arriving = removed[t_e - t_s]
             for u, v in arriving:
-                if not degree[u]:
+                if degree[u]:
+                    adjacency[u].append(v)
+                else:
                     touched.append(u)
+                    adjacency[u] = [v]
                 degree[u] += 1
-                if not degree[v]:
+                if degree[v]:
+                    adjacency[v].append(u)
+                else:
                     touched.append(v)
+                    adjacency[v] = [u]
                 degree[v] += 1
             bound = max(k_prime[t_e], k_trim)
             candidates = [u for u in touched if degree[u] > bound] if bound else touched
             if candidates:
-                if bound:
-                    subgraph = [e for e in edges
-                                if degree[e[0]] > bound and degree[e[1]] > bound]
-                else:
-                    subgraph = edges  # every endpoint has degree >= 1
-                order, members = innermost_core(candidates, subgraph)
+                order, members = innermost_core(candidates, adjacency, degree, bound, work)
                 metrics.processed_vertices += len(candidates)
             else:
                 order, members = 0, frozenset()
@@ -132,6 +141,7 @@ def maximal_span_cores(g: TemporalGraph, trace: MaximalTrace | None = None) -> D
                 )
         for u in touched:
             degree[u] = 0
+            adjacency[u] = None
     if trace is not None:
         trace.final_k_prime = k_prime
     metrics.elapsed = time.perf_counter() - started

@@ -95,14 +95,16 @@ class Interval:
 class EdgeDiffSets(NamedTuple):
     """Difference encoding of the interval edge sets anchored at one start time.
 
-    ``removed[i]`` holds the edges alive in every timestamp of
-    [start, start+i] but absent at start+i+1, for i in 0..t_star-start-1.
-    The edge set of [start, t_e] is recovered by unioning ``removed[j]`` for
-    j >= t_e-start onto the edge set of [start, t_star].
+    ``surviving`` is the edge set of [start, t_star], the widest interval
+    from `start` with edges. ``removed[i]`` holds the edges alive in every
+    timestamp of [start, start+i] but absent at start+i+1, for i in
+    0..t_star-start-1. The edge set of [start, t_e] is recovered by unioning
+    ``removed[j]`` for j >= t_e-start onto ``surviving``.
     """
 
     t_star: int
     removed: tuple[frozenset[Edge], ...]
+    surviving: frozenset[Edge]
 
 
 class TemporalGraph:
@@ -424,8 +426,8 @@ def edge_diff_sets(g: TemporalGraph, start: int) -> EdgeDiffSets | None:
     Returns None when no edge survives even the singleton interval, i.e.
     E_start is empty and no non-empty interval begins here. Otherwise t_star
     is the last timestamp for which [start, t_star] still has surviving
-    edges. Total storage is bounded by |E_start|: the diff sets partition
-    the edges that eventually drop out.
+    edges. Total storage is bounded by |E_start|: the diff sets and the
+    surviving set partition it.
     """
     running = g.edges_at(start)
     if not running:
@@ -433,13 +435,13 @@ def edge_diff_sets(g: TemporalGraph, start: int) -> EdgeDiffSets | None:
     removed: list[frozenset[Edge]] = []
     t = start
     while t < g.t_max:
-        surviving = running & g.edges_at(t + 1)
-        if not surviving:
+        kept = running & g.edges_at(t + 1)
+        if not kept:
             break
-        removed.append(frozenset(running - surviving))
-        running = surviving
+        removed.append(frozenset(running - kept))
+        running = kept
         t += 1
-    return EdgeDiffSets(t, tuple(removed))
+    return EdgeDiffSets(t, tuple(removed), running)
 
 
 def contact_lines(g: TemporalGraph) -> Iterator[str]:

@@ -31,7 +31,6 @@ from spancores import (
     core_decomposition,
     edge_diff_sets,
     edges_in_interval,
-    innermost_core,
 )
 from spancores.span_cores import DecompositionResult, RunMetrics, SpanCore, _emit_cores
 from spancores.temporal_graph import Edge
@@ -137,6 +136,18 @@ def ratio_fixture_graph() -> TemporalGraph:
 def k_core(labeling, k: int) -> frozenset[int]:
     """The k-core of a core labeling: vertices with coreness >= k."""
     return frozenset(u for u, c in labeling.coreness.items() if c >= k)
+
+
+def innermost_of(vertices: Iterable[int], edges: Iterable[Edge]) -> tuple[int, frozenset[int]]:
+    """Order and members of the highest-order core of an edge list; (0, empty) if edgeless.
+
+    Read off `core_decomposition`, so it stays independent of the candidate
+    peel that the direct engine calls.
+    """
+    labeling = core_decomposition(vertices, edges)
+    if labeling.max_order == 0:
+        return 0, frozenset()
+    return labeling.max_order, k_core(labeling, labeling.max_order)
 
 
 def contains(outer: Interval, inner: Interval) -> bool:
@@ -638,7 +649,7 @@ def reference_maximal_span_cores(g: TemporalGraph,
     # non-empty timestamps, so only those need an entry.
     k_prime = dict.fromkeys(g.nonempty_times, 0)
     for t_s in g.nonempty_times:
-        t_star, removed = edge_diff_sets(g, t_s)
+        t_star, removed, _ = edge_diff_sets(g, t_s)
         edges = set(g.edges_at(t_s))
         for dropped in removed:
             edges -= dropped  # edges of [t_s, t_star]
@@ -658,7 +669,7 @@ def reference_maximal_span_cores(g: TemporalGraph,
                                 if degree[e[0]] > bound and degree[e[1]] > bound]
                 else:
                     subgraph = edges  # every endpoint has degree >= 1
-                order, members = innermost_core(candidates, subgraph)
+                order, members = innermost_of(candidates, subgraph)
                 metrics.processed_vertices += len(candidates)
             else:
                 order, members = 0, frozenset()

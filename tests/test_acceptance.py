@@ -23,7 +23,6 @@ from spancores import (
     contact_lines,
     detect_anomalies,
     edges_in_interval,
-    innermost_core,
     maximal_span_cores,
     naive_maximal_span_cores,
     naive_span_cores,
@@ -37,6 +36,7 @@ from .conftest import (
     community_temporal_graph,
     contains,
     dominates,
+    innermost_of,
     oracle_maximal,
     oracle_span_cores,
     planted_clique_graph,
@@ -169,7 +169,7 @@ def test_criterion_5_maximal_antichain_and_innermost(corpus, criterion):
                 for b in cores[i + 1:]:
                     assert not dominates(a, b) and not dominates(b, a)
             for core in cores:
-                order, members = innermost_core(
+                order, members = innermost_of(
                     range(g.vertex_count), edges_in_interval(g, core.span))
                 assert (order, members) == (core.order, core.members)
 

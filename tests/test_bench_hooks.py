@@ -95,6 +95,37 @@ def test_traced_pipeline_counts_every_kernel_call(monkeypatch, tmp_path):
             == 3 + 3 + 4 + 2 + 3 + 9)
 
 
+def test_traced_maximal_run_counts_one_kernel_call_per_decomposed_interval(monkeypatch, tmp_path):
+    """The direct engine reaches the kernel through maximal.innermost_core.
+
+    The tracer takes len() of that call's first argument as the vertices
+    handed to the kernel, so the engine calls it once for every interval
+    with candidates, with the candidate list first.
+    """
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    from spancores import (MaximalTrace, cli, ingest_contacts, maximal_span_cores,
+                           parse_contact_lines)
+
+    contacts = tmp_path / "contacts.txt"
+    contacts.write_text(GAPPY_CONTACTS)
+    hooks = tracer.Tracer()
+    hooks.prepare()
+    with hooks.active():
+        argv = ["maximal", "--input", str(contacts), "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 0
+    counts = hooks.counts
+    with contacts.open(encoding="utf-8") as handle:
+        parsed, _ = parse_contact_lines(handle, strict=True)
+    trace = MaximalTrace()
+    maximal_span_cores(ingest_contacts(parsed), trace=trace)
+    decomposed = sum(1 for step in trace.steps if step.candidate_count > 0)
+    assert decomposed > 0
+    assert counts["maximal.innermost_core"] == decomposed
+    assert counts["kernel.vertices_in"] == counts["maximal.processed_vertices"] > 0
+
+
 def test_maximal_run_parses_and_ingests_once(monkeypatch, tmp_path):
     """A maximal run on a canonical file records one parse span and one ingest span.
 

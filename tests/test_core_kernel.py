@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spancores import core_decomposition, innermost_core
-from .conftest import fixed_point_core, k_core
+from .conftest import fixed_point_core, innermost_of, k_core
 
 
 def random_static_graph(rng: random.Random, max_vertices: int = 50):
@@ -84,20 +87,65 @@ class TestCoreDecomposition:
                     assert inside >= k
 
 
+def peel_candidates(n: int, edges, bound: int) -> tuple[int, frozenset[int]]:
+    """innermost_core on a static graph's vertices of degree above `bound`.
+
+    Hands the kernel adjacency lists and degrees as the direct engine's
+    replay keeps them, and checks that the scratch list is all zeros again.
+    """
+    adjacency: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    degree = [len(nbrs) for nbrs in adjacency]
+    candidates = [u for u in range(n) if degree[u] > bound]
+    work = [0] * n
+    result = innermost_core(candidates, adjacency, degree, bound, work)
+    assert work == [0] * n
+    return result
+
+
+@st.composite
+def bounded_static_graphs(draw):
+    n = draw(st.integers(1, 14))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs), max_size=40) if pairs else st.just(set()))
+    return n, edges, draw(st.integers(0, 5))
+
+
 class TestInnermostCore:
     def test_edgeless_is_zero_empty(self):
-        assert innermost_core(range(4), []) == (0, frozenset())
+        assert peel_candidates(4, [], 0) == (0, frozenset())
 
     def test_fixture_interval(self):
-        order, members = innermost_core(range(4), [(0, 1), (1, 2), (0, 2), (2, 3)])
-        assert order == 2
-        assert members == frozenset({0, 1, 2})
+        triangle_pendant = [(0, 1), (1, 2), (0, 2), (2, 3)]
+        assert peel_candidates(4, triangle_pendant, 0) == (2, frozenset({0, 1, 2}))
+        # Bound 1 leaves the pendant out of the candidates.
+        assert peel_candidates(4, triangle_pendant, 1) == (2, frozenset({0, 1, 2}))
+
+    def test_candidate_without_candidate_neighbours_gets_no_coreness(self):
+        # Star centre 3 has degree 3, but its leaves sit at the bound, so its
+        # induced degree is 0: alone it makes no core, and beside a triangle
+        # it must not lift the order to its degree.
+        star = [(3, 4), (3, 5), (3, 6)]
+        assert peel_candidates(7, star, 1) == (0, frozenset())
+        triangle = [(0, 1), (1, 2), (0, 2)]
+        assert peel_candidates(7, triangle + star, 1) == (2, frozenset({0, 1, 2}))
 
     def test_is_top_core_of_decomposition(self):
         rng = random.Random(41)
         for _ in range(30):
             n, edges = random_static_graph(rng, max_vertices=25)
-            order, members = innermost_core(range(n), edges)
+            order, members = peel_candidates(n, edges, 0)
             labeling = core_decomposition(range(n), edges)
             assert order == labeling.max_order
             assert members == k_core(labeling, order) if order else members == frozenset()
+
+    @settings(max_examples=300, deadline=None)
+    @given(bounded_static_graphs())
+    def test_matches_the_filtered_subgraph(self, graph):
+        n, edges, bound = graph
+        degree = Counter(u for edge in edges for u in edge)
+        candidates = [u for u in range(n) if degree[u] > bound]
+        subgraph = [e for e in edges if degree[e[0]] > bound and degree[e[1]] > bound]
+        assert peel_candidates(n, edges, bound) == innermost_of(candidates, subgraph)

@@ -12,26 +12,36 @@ from spancores import (
     SpanCore,
     TemporalGraph,
     edges_in_interval,
-    innermost_core,
     maximal_span_cores,
     naive_maximal_span_cores,
     span_cores,
 )
 from .conftest import (
     as_triples,
+    community_temporal_graph,
     contains,
     dominates,
     gappy_temporal_graphs,
+    innermost_of,
     oracle_maximal,
     oracle_span_cores,
     random_temporal_graph,
     reference_maximal_span_cores,
+    sticky_temporal_graphs,
 )
 
 G_EX_MAXIMAL = {
     (2, (0, 1), frozenset({0, 1, 2})),
     (1, (0, 2), frozenset({0, 1})),
 }
+
+
+def traced_run(engine, g: TemporalGraph) -> tuple:
+    """Cores, processed_vertices, cores_emitted, TraceSteps and final_k_prime of one run."""
+    trace = MaximalTrace()
+    result = engine(g, trace=trace)
+    return (result.cores, result.metrics.processed_vertices, result.metrics.cores_emitted,
+            trace.steps, trace.final_k_prime)
 
 
 class TestDominates:
@@ -107,7 +117,7 @@ class TestEngineProperties:
         for _ in range(25):
             g = random_temporal_graph(rng, max_vertices=12, max_timestamps=6)
             for core in maximal_span_cores(g).cores:
-                order, members = innermost_core(
+                order, members = innermost_of(
                     range(g.vertex_count), edges_in_interval(g, core.span))
                 assert (order, members) == (core.order, core.members)
 
@@ -133,17 +143,35 @@ class TestEngineProperties:
             assert direct <= filtered
 
     @settings(max_examples=200, deadline=None)
-    @given(gappy_temporal_graphs()
+    @given(gappy_temporal_graphs() | sticky_temporal_graphs()
            | st.integers(0, 2 ** 32).map(lambda seed: random_temporal_graph(random.Random(seed))))
     def test_direct_engine_matches_the_bucketed_reference(self, g):
         """Same cores, counts and trace as the engine that bucketed degrees per start."""
-        runs = []
-        for engine in (maximal_span_cores, reference_maximal_span_cores):
-            trace = MaximalTrace()
-            result = engine(g, trace=trace)
-            runs.append((result.cores, result.metrics.processed_vertices,
-                         result.metrics.cores_emitted, trace.steps, trace.final_k_prime))
-        assert runs[0] == runs[1]
+        direct, reference = (traced_run(engine, g) for engine in
+                             (maximal_span_cores, reference_maximal_span_cores))
+        assert direct == reference
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    @pytest.mark.parametrize("communities, active_p, p_in", [(10, 0.8, 0.6), (5, 0.9, 0.7)])
+    def test_direct_engine_matches_the_references_on_larger_graphs(self, seed, communities,
+                                                                    active_p, p_in):
+        """150 vertices over 15 timestamps, beyond the random corpus's 25.
+
+        The bounded path must fire: some step prunes touched vertices from
+        its candidates under a positive bound.
+        """
+        g = community_temporal_graph(vertices=150, horizon=15, communities=communities,
+                                     active_p=active_p, p_in=p_in, clique=6, seed=seed)
+        direct = traced_run(maximal_span_cores, g)
+        assert direct == traced_run(reference_maximal_span_cores, g)
+        cores, _, _, steps, _ = direct
+        assert cores == naive_maximal_span_cores(g).cores
+        assert len(cores) > 5
+        assert any(
+            step.lower_bound > 0 and 0 < step.candidate_count < len(
+                {u for edge in edges_in_interval(g, Interval(step.t_s, step.t_e))
+                 for u in edge})
+            for step in steps)
 
     def test_deterministic_across_runs(self):
         rng = random.Random(12)

@@ -426,6 +426,7 @@ class TestEdgeDiffSets:
         diff = edge_diff_sets(g_ex, 0)
         assert diff.t_star == 2
         assert diff.removed == (frozenset({(2, 3)}), frozenset({(1, 2), (0, 2)}))
+        assert diff.surviving == frozenset({(0, 1)})
 
     def test_empty_start_signals_none(self):
         g = TemporalGraph(["a", "b"], [set(), {(0, 1)}])
@@ -440,10 +441,11 @@ class TestEdgeDiffSets:
                 if diff is None:
                     assert not g.edges_at(t_s)
                     continue
-                t_star, removed = diff
+                t_star, removed, surviving = diff
                 assert len(removed) == t_star - t_s
-                # storage bound: the diff sets partition the edges that drop out
-                assert sum(len(r) for r in removed) <= len(g.edges_at(t_s))
+                # storage bound: the diff sets and the surviving set partition E_start
+                assert sum(len(r) for r in removed) + len(surviving) == len(g.edges_at(t_s))
+                assert surviving == edges_in_interval(g, Interval(t_s, t_star))
                 edges = set(g.edges_at(t_s))
                 for chunk in removed:
                     edges -= chunk
