@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 import os
 import subprocess
@@ -358,6 +359,26 @@ class TestErrorsAndDeterminism:
         assert run("stats", "--cores", path, "--out", tmp_path / "o") == 2
         error = capsys.readouterr().err.strip().splitlines()
         assert len(error) == 1 and message in error[0]
+
+    def test_deeply_nested_jsonl_core_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "cores.jsonl"
+        path.write_text('{"k": 1, "t_s": 0, "t_e": 0, "members": ["a", "b"]}\n'
+                        + "[" * 200_000 + "\n")
+        assert run("stats", "--cores", path, "--out", tmp_path / "o") == 2
+        error = capsys.readouterr().err.strip().splitlines()
+        assert error == ["error: core file line 2: JSON nested too deeply"]
+
+    def test_core_with_a_members_field_over_the_csv_field_limit_reads_back(self, tmp_path):
+        # 12,000 disjoint pairs at one timestamp make one order-1 core of
+        # 24,000 members, a 312 KB field.
+        path = tmp_path / "pairs.txt"
+        path.write_text("".join(f"vertex{2 * i:06d} vertex{2 * i + 1:06d} 0\n"
+                                for i in range(12_000)))
+        out = tmp_path / "o"
+        assert run("decompose", "--input", path, "--out", out) == 0
+        assert (out / "cores.csv").stat().st_size > csv.field_size_limit()
+        assert run("stats", "--cores", out / "cores.csv", "--out", out) == 0
+        assert (out / "stats_by_order.csv").read_text() == "k,count,mean_size\n1,1,24000\n"
 
     def test_missing_positives_file_exits_2_before_the_input_is_read(self, contact_file,
                                                                      tmp_path, capsys):

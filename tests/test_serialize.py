@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from spancores import (
     AttributeTable,
+    TemporalGraph,
     activity_grid,
     ingest_contacts,
     maximal_span_cores,
@@ -22,6 +23,7 @@ from spancores import (
     stats_by_order,
     stats_by_span,
 )
+from spancores import serialize
 from spancores.serialize import (
     cores_to_csv,
     cores_to_jsonl,
@@ -190,6 +192,156 @@ def test_read_back_result_behaves_like_the_engine_result(g, engine, fmt, rng):
     assert cores_to_csv(shuffled) == cores_to_csv(result)
     assert as_triples(shuffled) == as_triples(loaded)
     assert shuffled.labels == loaded.labels
+
+
+def _csv_writer_reference(result) -> str:
+    """The core CSV text as csv.writer writes it, one writerow per core."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["k", "t_s", "t_e", "size", "members"])
+    for c in result.cores:
+        writer.writerow([c.order, c.span.start, c.span.end, c.size,
+                         ";".join(result.member_labels(c))])
+    return out.getvalue()
+
+
+CSV_VARIATIONS = ["as written", "shuffled", "crlf", "blank lines", "no final newline"]
+
+
+def _varied(text: str, variation: str, rng) -> str:
+    if variation == "shuffled":
+        return _shuffled_records(text, "csv", rng)
+    if variation == "crlf":
+        return text.replace("\n", "\r\n")
+    if variation == "blank lines":
+        lines = text.splitlines(keepends=True)
+        for _ in range(rng.randint(1, 3)):
+            lines.insert(rng.randint(1, len(lines)), "\n")
+        return "".join(lines)
+    if variation == "no final newline":
+        return text[:-1]
+    return text
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.sets(st.integers(0, 11)),
+       st.sampled_from([span_cores, maximal_span_cores]), st.sampled_from(CSV_VARIATIONS))
+def test_canonical_and_csv_reader_paths_read_alike(rng, quoted, engine, variation):
+    # A label holding '"' makes its member fields quoted, which only
+    # csv.reader can split.
+    g = random_temporal_graph(rng, max_vertices=12, max_timestamps=6)
+    g = TemporalGraph([f'{label}"q' if u in quoted else label for u, label in enumerate(g.labels)],
+                      [g.edges_at(t) for t in range(g.t_max + 1)])
+    result = engine(g)
+    text = cores_to_csv(result)
+    assert text == _csv_writer_reference(result)
+    varied = _varied(text, variation, rng)
+
+    loaded = read_cores_csv(io.StringIO(varied))
+    assert _labelled(loaded) == _labelled(result)
+    assert cores_to_csv(loaded) == text
+
+    canonical = serialize._canonical_csv_columns(varied)
+    assert (canonical is not None) == ('"' not in text and variation in CSV_VARIATIONS[:2])
+    columns, fault = serialize._parsed_csv_columns(varied)
+    assert fault is None
+    by_csv_reader = serialize._result_from_columns(*columns)
+    assert by_csv_reader.cores == loaded.cores
+    assert by_csv_reader.labels == loaded.labels
+    if canonical is not None:
+        assert list(map(list, canonical)) == list(map(list, columns))
+
+
+def test_csv_reader_path_reads_fields_over_the_field_limit_and_restores_it():
+    labels = [f"v{i:02d}" for i in range(40)]
+    row = "1,0,0,40," + ";".join(labels)
+    limit = csv.field_size_limit(50)
+    try:
+        loaded = read_cores_csv(io.StringIO(f"k,t_s,t_e,size,members\r\n{row}\r\n"))
+        assert csv.field_size_limit() == 50
+        with pytest.raises(ValueError, match="line 3: expected 5 fields, got 2"):
+            read_cores_csv(io.StringIO(f"k,t_s,t_e,size,members\r\n{row}\r\n1,0\r\n"))
+        assert csv.field_size_limit() == 50
+    finally:
+        csv.field_size_limit(limit)
+    assert loaded.member_labels(loaded.cores[0]) == labels
+
+
+@pytest.mark.parametrize("rows, message", [
+    (["1,0,1,2,a\rb"], "line 3: new-line character seen in unquoted field"),
+    (["1,0,1,3,a;b", "1,0,2,2,a\rb"], "line 3: size field 3 disagrees with 2 members"),
+    (["1,0,1,3,a;b", "1,0"], "line 3: size field 3 disagrees with 2 members"),
+    (["1,0", "1,0,1,3,a;b"], "line 3: expected 5 fields, got 2"),
+    (['1,0,1,2,"a;a"', "1,0,1,x,a;b"], "line 3: member 'a' is listed twice"),
+    (['1,0,1,2,"a;b"', "1,0,1,x,a;b"], "line 4: k, t_s, t_e and size must be integers"),
+])
+def test_csv_reader_faults_are_named_in_file_order(rows, message):
+    text = "k,t_s,t_e,size,members\n1,0,0,2,a;b\n" + "".join(row + "\n" for row in rows)
+    with pytest.raises(ValueError, match=message) as error:
+        read_cores_csv(io.StringIO(text))
+    assert str(error.value).startswith("core file " + message)
+
+
+VALID_RECORD = (1, 0, 0, 2, ["a", "b"])
+
+
+def _core_file(records, form: str) -> str:
+    if form == "jsonl":
+        return "".join(json.dumps({"k": k, "t_s": t_s, "t_e": t_e, "members": members}) + "\n"
+                       for k, t_s, t_e, _, members in records)
+    text = "k,t_s,t_e,size,members\n" + "".join(
+        f"{k},{t_s},{t_e},{size},{';'.join(members)}\n" for k, t_s, t_e, size, members in records)
+    return text.replace("\n", "\r\n") if form == "csv by csv.reader" else text
+
+
+@pytest.mark.parametrize("form", ["canonical csv", "csv by csv.reader", "jsonl"])
+@pytest.mark.parametrize("records, csv_fault, jsonl_fault", [
+    # Two faulty records: the earlier one is named, whatever its checks.
+    ([VALID_RECORD, (1, 0, 1, 2, ["c", "c"]), (0, 1, 1, 1, ["d"])],
+     (1, "member 'c' is listed twice"), (1, "member 'c' is listed twice")),
+    ([VALID_RECORD, (1, 0, 1, 2, ["c", ""]), (0, 1, 1, 1, ["d"])],
+     (1, "empty member label"), (1, "empty member label")),
+    ([VALID_RECORD, (1, 0, 1, 2, ["c", "c"]), ("x", 1, 1, 1, ["d"])],
+     (1, "member 'c' is listed twice"), (1, "member 'c' is listed twice")),
+    ([VALID_RECORD, ("x", 0, 1, 1, ["d"]), (0, 1, 1, 1, ["d"])],
+     (1, "k, t_s, t_e and size must be integers"), (1, "k, t_s and t_e must be integers")),
+    ([VALID_RECORD, (1, 0, 1, 3, ["c", "d"]), (1, 1, 1, 2, ["c", "c"])],
+     (1, "size field 3 disagrees with 2 members"), (2, "member 'c' is listed twice")),
+    # One record with several faults: the first in the order of the checks.
+    ([VALID_RECORD, (0, 3, 1, 9, ["a", "a", ""])],
+     (1, "size field 9 disagrees with 3 members"), (1, "order 0 must be at least 1")),
+    ([VALID_RECORD, (0, 3, 1, 3, ["a", "a", ""])],
+     (1, "order 0 must be at least 1"), (1, "order 0 must be at least 1")),
+    ([VALID_RECORD, (1, 3, 1, 3, ["a", "a", ""])],
+     (1, "interval [3,1] needs 0 <= t_s <= t_e"), (1, "interval [3,1] needs 0 <= t_s <= t_e")),
+    ([VALID_RECORD, (1, 0, 0, 0, [])],
+     (1, "a core needs at least one member"), (1, "a core needs at least one member")),
+    ([VALID_RECORD, (1, 0, 0, 3, ["a", "a", ""])],
+     (1, "member 'a' is listed twice"), (1, "member 'a' is listed twice")),
+    ([VALID_RECORD, (1, 0, 0, 2, ["c", ""])], (1, "empty member label"), (1, "empty member label")),
+    ([VALID_RECORD, (1, 0, 0, 2, ["a", "c"])],
+     (1, "a second core of order 1 over [0,0]"), (1, "a second core of order 1 over [0,0]")),
+    # Out of order: the faulty record is still named by its own line.
+    ([(1, 1, 1, 1, ["a"]), (1, 0, 0, 1, ["a"]), (1, 0, 1, 2, ["b", "b"])],
+     (2, "member 'b' is listed twice"), (2, "member 'b' is listed twice")),
+    ([(1, 2, 2, 1, ["a"]), (1, 0, 0, 1, ["b"]), (1, 1, 1, 1, ["a"]), (1, 0, 0, 1, ["c"])],
+     (3, "a second core of order 1 over [0,0]"), (3, "a second core of order 1 over [0,0]")),
+    ([(1, 1, 1, 1, ["a"]), (1, 0, 0, 1, ["a"]), (1, 0, 2, 3, ["a", "b"])],
+     (2, "size field 3 disagrees with 2 members"), None),
+])
+def test_the_first_fault_in_file_order_is_named(records, csv_fault, jsonl_fault, form):
+    text = _core_file(records, form)
+    fmt = "jsonl" if form == "jsonl" else "csv"
+    assert (serialize._canonical_csv_columns(text) is not None) == (form == "canonical csv")
+    fault = jsonl_fault if fmt == "jsonl" else csv_fault
+    if fault is None:
+        assert len(read_cores(io.StringIO(text), fmt).cores) == len(records)
+        return
+    index, problem = fault
+    line = index + 1 if fmt == "jsonl" else index + 2
+    with pytest.raises(ValueError) as error:
+        read_cores(io.StringIO(text), fmt)
+    assert str(error.value) == f"core file line {line}: {problem}"
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
