@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -110,23 +111,32 @@ def _load_graph(args: argparse.Namespace):
 
 
 def _run_engine(engine, graph, bench: bool):
+    """Return the engine's result, the seconds the whole call took, and bench.json or None."""
+    started = time.perf_counter()
     result = engine(graph)
+    seconds = time.perf_counter() - started
     if not bench:
-        return result, None
+        return result, seconds, None
     # tracemalloc slows the engine several-fold, so the time comes from the
-    # run above and the peak memory from a second run.
-    tracemalloc.start()
+    # run above and the peak memory from a second run. A caller's tracing is
+    # left on, and the memory traced before the run is not the engine's.
+    outer = tracemalloc.is_tracing()
+    if not outer:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
     try:
+        before = tracemalloc.get_traced_memory()[0]
         engine(graph)
-        _, peak = tracemalloc.get_traced_memory()
+        peak = tracemalloc.get_traced_memory()[1] - before
     finally:
-        tracemalloc.stop()
+        if not outer:
+            tracemalloc.stop()
     bench_payload = {
-        "elapsed_ms": elapsed_ms(result.metrics),
+        "elapsed_ms": elapsed_ms(seconds),
         "peak_memory_bytes": peak,
         "processed_vertices": result.metrics.processed_vertices,
     }
-    return result, bench_payload
+    return result, seconds, bench_payload
 
 
 def cmd_cores(args) -> None:
@@ -135,7 +145,7 @@ def cmd_cores(args) -> None:
     # Looked up on every call, so that a wrapped engine is the one that runs.
     engine = {"pruned": span_cores, "naive": naive_span_cores,
               "direct": maximal_span_cores, "filter": naive_maximal_span_cores}[args.engine]
-    result, bench_payload = _run_engine(engine, graph, args.bench)
+    result, seconds, bench_payload = _run_engine(engine, graph, args.bench)
     maximal = args.command == "maximal"
     stem = "maximal" if maximal else "cores"
     out_dir = Path(args.out)
@@ -143,7 +153,7 @@ def cmd_cores(args) -> None:
         _write_atomic(out_dir / f"{stem}.csv", cores_to_csv(result))
     else:
         _write_atomic(out_dir / f"{stem}.jsonl", cores_to_jsonl(result, maximal=maximal))
-    _write_atomic(out_dir / "metrics.json", metrics_to_json(result.metrics))
+    _write_atomic(out_dir / "metrics.json", metrics_to_json(result.metrics, seconds))
     if bench_payload is not None:
         _write_atomic(out_dir / "bench.json", json.dumps(bench_payload, indent=2) + "\n")
     _log(f"wrote {stem}.{args.format} ({len(result.cores)} records)")

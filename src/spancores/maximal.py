@@ -14,12 +14,11 @@ straight from those neighbour lists.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .core_kernel import innermost_core
-from .span_cores import DecompositionResult, RunMetrics, SpanCore, span_cores
+from .span_cores import DecompositionResult, SpanCore, _result, span_cores
 from .temporal_graph import Interval, TemporalGraph, edge_diff_sets
 
 
@@ -56,7 +55,6 @@ def naive_maximal_span_cores(g: TemporalGraph) -> DecompositionResult:
     of [s, e] is maximal exactly when its order beats the innermost orders
     of those two one-step extensions (0 where there is none).
     """
-    started = time.perf_counter()
     full = span_cores(g)
     # Cores come sorted by (start, end, order), so the last one of a span is
     # its innermost, and the spans keep that order.
@@ -66,12 +64,7 @@ def naive_maximal_span_cores(g: TemporalGraph) -> DecompositionResult:
         wider = (innermost.get((s - 1, e)), innermost.get((s, e + 1)))
         if all(other is None or other.order < core.order for other in wider):
             cores.append(core)
-    metrics = RunMetrics(
-        processed_vertices=full.metrics.processed_vertices,
-        cores_emitted=len(cores),
-        elapsed=time.perf_counter() - started,
-    )
-    return DecompositionResult(tuple(cores), g.labels, metrics)
+    return _result(g, cores, full.metrics.processed_vertices)
 
 
 def maximal_span_cores(g: TemporalGraph, trace: MaximalTrace | None = None) -> DecompositionResult:
@@ -88,8 +81,7 @@ def maximal_span_cores(g: TemporalGraph, trace: MaximalTrace | None = None) -> D
     candidates the kernel peels, and the interval is skipped as non-maximal
     unless it strictly beats the bound.
     """
-    started = time.perf_counter()
-    metrics = RunMetrics()
+    processed_vertices = 0
     cores: list[SpanCore] = []
     # k_prime[t] carries the innermost order of [previous start, t] across
     # start times; it is never reset. Intervals with edges cover only
@@ -126,13 +118,12 @@ def maximal_span_cores(g: TemporalGraph, trace: MaximalTrace | None = None) -> D
             candidates = [u for u in touched if degree[u] > bound] if bound else touched
             if candidates:
                 order, members = innermost_core(candidates, adjacency, degree, bound, work)
-                metrics.processed_vertices += len(candidates)
+                processed_vertices += len(candidates)
             else:
                 order, members = 0, frozenset()
             accepted = order > bound
             if accepted:
                 cores.append(SpanCore(order, Interval(t_s, t_e), members))
-                metrics.cores_emitted += 1
             k_trim = max(k_trim, order)
             k_prime[t_e] = max(k_prime[t_e], k_trim)
             if trace is not None:
@@ -144,6 +135,4 @@ def maximal_span_cores(g: TemporalGraph, trace: MaximalTrace | None = None) -> D
             adjacency[u] = None
     if trace is not None:
         trace.final_k_prime = k_prime
-    metrics.elapsed = time.perf_counter() - started
-    cores.sort(key=SpanCore.sort_key)
-    return DecompositionResult(tuple(cores), g.labels, metrics)
+    return _result(g, cores, processed_vertices)

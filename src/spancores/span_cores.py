@@ -10,7 +10,6 @@ all the edges of one of them.
 
 from __future__ import annotations
 
-import time
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain
@@ -51,19 +50,20 @@ class SpanCore:
 
 @dataclass
 class RunMetrics:
-    """Cost accounting for one engine run.
+    """Cost accounting for one engine run, a function of its graph alone.
 
     processed_vertices is the cost model the engines compete on. The naive
     engine charges |V| for every interval it decomposes. The pruned engine
     charges |V| for a single-timestamp interval, since any vertex may be in
     its order-1 core, and the candidates of every wider interval it visits,
     whether it decomposes it or reuses a parent's cores. The direct maximal
-    engine charges the candidates of every interval.
+    engine charges the candidates of every interval. cores_emitted is the
+    number of cores in the result. Run time is not an engine's to measure:
+    the CLI times the whole engine call.
     """
 
     processed_vertices: int = 0
     cores_emitted: int = 0
-    elapsed: float = 0.0
 
 
 class DecompositionResult:
@@ -98,7 +98,7 @@ def kernel_vertices(g: TemporalGraph, edges: frozenset[Edge]) -> set[int] | rang
     return range(g.vertex_count)
 
 
-def _emit_cores(labeling, span: Interval, out: list[SpanCore], metrics: RunMetrics) -> frozenset[int]:
+def _emit_cores(labeling, span: Interval, out: list[SpanCore]) -> frozenset[int]:
     """Append the k-cores of one interval, k from max_order (at least 1) down; return the 1-core."""
     by_order = defaultdict(list)
     for u, c in labeling.coreness.items():
@@ -108,8 +108,13 @@ def _emit_cores(labeling, span: Interval, out: list[SpanCore], metrics: RunMetri
         members.update(by_order.get(k, ()))
         core = SpanCore(k, span, frozenset(members))
         out.append(core)
-        metrics.cores_emitted += 1
     return core.members
+
+
+def _result(g: TemporalGraph, cores: list[SpanCore], processed_vertices: int) -> DecompositionResult:
+    """Every engine's ending: sort the cores by (start, end, order), count them and wrap them."""
+    cores.sort(key=SpanCore.sort_key)
+    return DecompositionResult(tuple(cores), g.labels, RunMetrics(processed_vertices, len(cores)))
 
 
 def naive_span_cores(g: TemporalGraph) -> DecompositionResult:
@@ -118,8 +123,7 @@ def naive_span_cores(g: TemporalGraph) -> DecompositionResult:
     Every call sees the full vertex set, so processed_vertices grows by |V|
     per non-empty interval.
     """
-    started = time.perf_counter()
-    metrics = RunMetrics()
+    processed_vertices = 0
     cores: list[SpanCore] = []
     everyone = range(g.vertex_count)
     for t_s in g.nonempty_times:
@@ -130,11 +134,9 @@ def naive_span_cores(g: TemporalGraph) -> DecompositionResult:
             if not edges:
                 break  # interval edge sets only shrink as the interval grows
             labeling = core_decomposition(everyone, edges)
-            metrics.processed_vertices += g.vertex_count
-            _emit_cores(labeling, Interval(t_s, t_e), cores, metrics)
-    metrics.elapsed = time.perf_counter() - started
-    cores.sort(key=SpanCore.sort_key)
-    return DecompositionResult(tuple(cores), g.labels, metrics)
+            processed_vertices += g.vertex_count
+            _emit_cores(labeling, Interval(t_s, t_e), cores)
+    return _result(g, cores, processed_vertices)
 
 
 def span_cores(g: TemporalGraph) -> DecompositionResult:
@@ -160,21 +162,20 @@ def span_cores(g: TemporalGraph) -> DecompositionResult:
     non-empty timestamps seed the first level, so no visited interval covers
     an empty timestamp.
     """
-    started = time.perf_counter()
-    metrics = RunMetrics()
+    processed_vertices = 0
     cores: list[SpanCore] = []
     level: dict[int, tuple[frozenset[int], frozenset[Edge], list[SpanCore]]] = {}
 
     def decompose(vertices, edges, span):
         emitted = len(cores)
-        order_one = _emit_cores(core_decomposition(vertices, edges), span, cores, metrics)
+        order_one = _emit_cores(core_decomposition(vertices, edges), span, cores)
         return order_one, edges, cores[emitted:]
 
     for t in g.nonempty_times:
         span = Interval(t, t)
         edges = edges_in_interval(g, span)
         level[t] = decompose(kernel_vertices(g, edges), edges, span)
-        metrics.processed_vertices += g.vertex_count
+        processed_vertices += g.vertex_count
 
     width = 1
     while level:
@@ -194,17 +195,14 @@ def span_cores(g: TemporalGraph) -> DecompositionResult:
                 parent = right
             else:
                 candidates = left_core & right_core
-                metrics.processed_vertices += len(candidates)
+                processed_vertices += len(candidates)
                 wider[t_s] = decompose(candidates, edges, span)
                 continue
             # The parent's order-1 core holds the endpoints of its edges, which
             # are edges of the other parent too, so it is the candidate set.
             order_one, _, shells = wider[t_s] = parent
-            metrics.processed_vertices += len(order_one)
+            processed_vertices += len(order_one)
             cores.extend([SpanCore(shell.order, span, shell.members) for shell in shells])
-            metrics.cores_emitted += len(shells)
         level = wider
         width += 1
-    metrics.elapsed = time.perf_counter() - started
-    cores.sort(key=SpanCore.sort_key)
-    return DecompositionResult(tuple(cores), g.labels, metrics)
+    return _result(g, cores, processed_vertices)

@@ -13,7 +13,6 @@ the optimized ones must stay equal to them.
 from __future__ import annotations
 
 import random
-import time
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -543,7 +542,6 @@ def reference_span_cores(g: TemporalGraph) -> DecompositionResult:
     both of its parents yielded cores, so no queued interval covers an empty
     timestamp.
     """
-    started = time.perf_counter()
     metrics = RunMetrics()
     cores: list[SpanCore] = []
     everyone = frozenset(range(g.vertex_count))
@@ -570,7 +568,8 @@ def reference_span_cores(g: TemporalGraph) -> DecompositionResult:
             continue
         labeling = core_decomposition(candidates, edges)
         metrics.processed_vertices += len(candidates)
-        order_one = _emit_cores(labeling, Interval(t_s, t_e), cores, metrics)
+        order_one = _emit_cores(labeling, Interval(t_s, t_e), cores)
+        metrics.cores_emitted += labeling.max_order  # one core per order 1..max_order
         for child in ((max(t_s - 1, 0), t_e), (t_s, min(t_e + 1, g.t_max))):
             if child == (t_s, t_e):
                 continue  # at the domain boundary the trimmed child folds back
@@ -581,7 +580,6 @@ def reference_span_cores(g: TemporalGraph) -> DecompositionResult:
                     frontier.ever_enqueued.add(child)
             else:
                 frontier.candidates[child] = order_one
-    metrics.elapsed = time.perf_counter() - started
     cores.sort(key=SpanCore.sort_key)
     return DecompositionResult(tuple(cores), g.labels, metrics)
 
@@ -641,7 +639,6 @@ def reference_maximal_span_cores(g: TemporalGraph,
     beats the bound can matter, and the interval is skipped as non-maximal
     unless it strictly beats the bound.
     """
-    started = time.perf_counter()
     metrics = RunMetrics()
     cores: list[SpanCore] = []
     # k_prime[t] carries the innermost order of [previous start, t] across
@@ -685,6 +682,5 @@ def reference_maximal_span_cores(g: TemporalGraph,
                 )
     if trace is not None:
         trace.final_k_prime = k_prime
-    metrics.elapsed = time.perf_counter() - started
     cores.sort(key=SpanCore.sort_key)
     return DecompositionResult(tuple(cores), g.labels, metrics)

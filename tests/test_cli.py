@@ -5,13 +5,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import spancores
-from spancores import ingest_contacts, parse_contact_lines
+from spancores import cli, ingest_contacts, parse_contact_lines
 from spancores.cli import main
 from .conftest import canonical_dump, planted_clique_graph, ratio_fixture_graph
 
@@ -85,6 +86,39 @@ class TestDecompose:
         metrics = json.loads((out / "metrics.json").read_text())
         assert bench["elapsed_ms"] == metrics["elapsed_ms"]
         assert bench["peak_memory_bytes"] > 0
+
+    @pytest.mark.parametrize("command", ["decompose", "maximal"])
+    def test_elapsed_ms_covers_the_whole_engine_call(self, contact_file, tmp_path,
+                                                     monkeypatch, command):
+        """Work an engine does after its last core, such as its sort, is timed too."""
+        def slow(engine):
+            def wrapper(graph):
+                result = engine(graph)
+                time.sleep(0.05)
+                return result
+            return wrapper
+        monkeypatch.setattr(cli, "span_cores", slow(cli.span_cores))
+        monkeypatch.setattr(cli, "maximal_span_cores", slow(cli.maximal_span_cores))
+        out = tmp_path / "out"
+        assert run(command, "--input", contact_file, "--bench", "--out", out) == 0
+        metrics = json.loads((out / "metrics.json").read_text())
+        bench = json.loads((out / "bench.json").read_text())
+        assert metrics["elapsed_ms"] >= 50
+        assert bench["elapsed_ms"] == metrics["elapsed_ms"]
+
+    def test_bench_leaves_a_callers_tracing_on(self, contact_file, tmp_path):
+        """The peak is the engine run's own, not the caller's memory or earlier peak."""
+        tracemalloc.start()
+        try:
+            held = bytearray(20_000_000)  # traced before the run, so not the engine's
+            bytearray(50_000_000)  # freed at once, but the caller's peak is now 70 MB
+            assert run("decompose", "--input", contact_file, "--bench", "--out", tmp_path) == 0
+            assert tracemalloc.is_tracing()
+            del held
+        finally:
+            tracemalloc.stop()
+        bench = json.loads((tmp_path / "bench.json").read_text())
+        assert 0 < bench["peak_memory_bytes"] < 1_000_000
 
     def test_windowing_flags_are_applied(self, tmp_path):
         path = tmp_path / "raw.txt"

@@ -14,6 +14,7 @@ from spancores import (
     edges_in_interval,
     maximal_span_cores,
     naive_maximal_span_cores,
+    naive_span_cores,
     span_cores,
 )
 from .conftest import (
@@ -29,6 +30,8 @@ from .conftest import (
     reference_maximal_span_cores,
     sticky_temporal_graphs,
 )
+
+ENGINES = [naive_span_cores, span_cores, naive_maximal_span_cores, maximal_span_cores]
 
 G_EX_MAXIMAL = {
     (2, (0, 1), frozenset({0, 1, 2})),
@@ -196,3 +199,26 @@ class TestEdgeCases:
         g = TemporalGraph(["a", "b", "c"], [set(), {(0, 1), (1, 2), (0, 2)}])
         result = maximal_span_cores(g)
         assert as_triples(result) == {(2, (1, 1), frozenset({0, 1, 2}))}
+
+
+@pytest.mark.parametrize("engine", ENGINES, ids=lambda engine: engine.__name__)
+class TestEveryEngine:
+    def test_result_is_a_function_of_the_graph(self, engine, g_ex):
+        """Two runs give equal metrics, and every core is counted once."""
+        rng = random.Random(21)
+        for g in [g_ex] + [random_temporal_graph(rng) for _ in range(5)]:
+            first, second = engine(g), engine(g)
+            assert first.cores == second.cores
+            assert first.metrics == second.metrics
+            assert first.metrics.cores_emitted == len(first.cores)
+
+    def test_time_reversal_mirrors_the_cores(self, engine):
+        """The direct engine walks each start's ends backwards; reversing time
+        hands it the intervals in a different order."""
+        g = community_temporal_graph(200, 30, communities=4)
+        t_max = g.t_max
+        reversed_g = TemporalGraph(g.labels, [g.edges_at(t_max - t) for t in range(t_max + 1)])
+        mirrored = {(order, (t_max - end, t_max - start), members)
+                    for order, (start, end), members in as_triples(engine(g))}
+        assert len(mirrored) > 10
+        assert as_triples(engine(reversed_g)) == mirrored

@@ -361,11 +361,11 @@ def test_a_deleted_read_back_result_leaves_no_cyclic_garbage(fmt):
 
 class TestMetrics:
     def test_shape(self, g_ex):
-        payload = json.loads(metrics_to_json(span_cores(g_ex).metrics))
+        payload = json.loads(metrics_to_json(span_cores(g_ex).metrics, 0.0123456))
         assert set(payload) == {"processed_vertices", "cores", "elapsed_ms"}
         assert payload["processed_vertices"] == 19
         assert payload["cores"] == 9
-        assert payload["elapsed_ms"] >= 0
+        assert payload["elapsed_ms"] == 12.346
 
 
 class TestTables:
