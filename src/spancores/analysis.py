@@ -68,21 +68,24 @@ class AttributeTable:
     @classmethod
     def from_csv(cls, stream: TextIO) -> "AttributeTable":
         reader = csv.reader(stream)
-        header = next(reader, None)
-        if not header or header[0] != "label" or len(header) < 2:
-            raise ValueError("line 1: attribute CSV must start with 'label,<attr>,...', "
-                             f"got {header!r}")
-        attributes = header[1:]
-        values: dict[str, dict[str, str]] = {}
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValueError(f"line {reader.line_num}: attribute row {row!r} "
-                                 "does not match header width")
-            if row[0] in values:
-                raise ValueError(f"line {reader.line_num}: label {row[0]!r} is listed twice")
-            values[row[0]] = dict(zip(attributes, row[1:]))
+        try:
+            header = next(reader, None)
+            if not header or header[0] != "label" or len(header) < 2:
+                raise ValueError("line 1: attribute CSV must start with 'label,<attr>,...', "
+                                 f"got {header!r}")
+            attributes = header[1:]
+            values: dict[str, dict[str, str]] = {}
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ValueError(f"line {reader.line_num}: attribute row {row!r} "
+                                     "does not match header width")
+                if row[0] in values:
+                    raise ValueError(f"line {reader.line_num}: label {row[0]!r} is listed twice")
+                values[row[0]] = dict(zip(attributes, row[1:]))
+        except csv.Error as error:  # a field over csv.field_size_limit(), say
+            raise ValueError(f"line {reader.line_num}: {error}") from None
         return cls(attributes, values)
 
     def check_attribute(self, attribute: str) -> None:

@@ -3,15 +3,13 @@
 Core records are always ordered by (t_s, t_e, k) and member labels are
 sorted, so equal results serialize to identical bytes.
 
-A core CSV file is read whole. Canonical text, the header line and then
-lines of five fields, each ending in '\n', with no '"', '\r', NUL or
-blank line (cores_to_csv writes it unless a label needs quoting), is split
-in one pass and its five columns are taken as slices; record i is on line
-i + 2. Any other text is parsed by csv.reader, with no field size limit,
-into the same columns, each record keeping its line. Either way, and for
-JSONL too, the columns are checked and built a whole column at a time; only
-a file with a fault is walked record by record, so the fault reported is
-the first in file order, with its line.
+read_cores is the one core-file reader. Both formats give six columns:
+line, k, t_s, t_e, size and member text; a JSONL record's size is its label
+count. Canonical CSV text, the header and then lines of five fields ending
+in '\n', with no '"', '\r', NUL or blank line, is split in one pass (record
+i is on line i + 2); other CSV text goes through csv.reader, with no field
+size limit. Columns are checked and built whole; only a faulty file is
+walked record by record, so the first fault in file order is named.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ import csv
 import io
 import json
 from collections import Counter
-from itertools import chain, count, repeat
+from itertools import chain, count
 from operator import le, lt
 from typing import Iterable, NoReturn, Sequence, TextIO
 
@@ -63,18 +61,14 @@ def _csv_field(text: str) -> str:
 
 
 def cores_to_jsonl(result: DecompositionResult, maximal: bool = False) -> str:
-    lines = []
+    """The bytes of json.dumps(record) + "\n" per core; only the member list needs escaping."""
+    flag = ', "maximal": true' if maximal else ""
+    rows = []
     for core in result.cores:
-        record = {
-            "k": core.order,
-            "t_s": core.span.start,
-            "t_e": core.span.end,
-            "members": result.member_labels(core),
-        }
-        if maximal:
-            record["maximal"] = True
-        lines.append(json.dumps(record))
-    return "".join(line + "\n" for line in lines)
+        span = core.span
+        rows.append(f'{{"k": {core.order}, "t_s": {span.start}, "t_e": {span.end}, '
+                    f'"members": {json.dumps(result.member_labels(core))}{flag}}}\n')
+    return "".join(rows)
 
 
 def elapsed_ms(seconds: float) -> float:
@@ -92,27 +86,24 @@ def metrics_to_json(metrics: RunMetrics, seconds: float) -> str:
 
 
 def _result_from_columns(lines: Sequence[int], k: Sequence, t_s: Sequence, t_e: Sequence,
-                          size: Sequence | None, members: Sequence[str]) -> DecompositionResult:
+                          size: Sequence, members: Sequence[str]) -> DecompositionResult:
     """Check the records of a core file and build the read-back result.
 
     Record i is (k[i], t_s[i], t_e[i], size[i], members[i]) from line
-    lines[i]. The number fields may still be text, and `size` is None for
-    JSONL, which has none. Every check runs over a whole column, and each
-    distinct member text is split, checked and numbered once; only when a
-    check finds a fault does _raise_first_fault walk the records to name it.
-    Every writer emits records sorted, so they are sorted here only when
-    one is found out of order. Labels are numbered in order of first
-    appearance across the sorted cores, and every core with the same member
-    text shares one frozenset.
+    lines[i]; the number fields may still be text. Every check runs over a
+    whole column, and each distinct member text is split, checked and
+    numbered once; only when a check finds a fault does _raise_first_fault
+    walk the records to name it. Every writer emits records sorted, so they
+    are sorted here only when one is found out of order. Labels are numbered
+    in order of first appearance across the sorted cores, and every core
+    with the same member text shares one frozenset.
     """
     columns = lines, k, t_s, t_e, size, members
     try:  # each distinct number field once
-        number = {field: int(field) for field in dict.fromkeys(chain(k, t_s, t_e, size or ()))}
+        number = {field: int(field) for field in dict.fromkeys(chain(k, t_s, t_e, size))}
     except ValueError:
         _raise_first_fault(*columns)
-    k, t_s, t_e = (list(map(number.__getitem__, column)) for column in (k, t_s, t_e))
-    if size is not None:
-        size = list(map(number.__getitem__, size))
+    k, t_s, t_e, size = (list(map(number.__getitem__, column)) for column in (k, t_s, t_e, size))
     if k and (min(k) < 1 or min(t_s) < 0 or not all(map(le, t_s, t_e))):
         _raise_first_fault(*columns)
     keys = list(zip(t_s, t_e, k))
@@ -123,8 +114,7 @@ def _result_from_columns(lines: Sequence[int], k: Sequence, t_s: Sequence, t_e: 
             _raise_first_fault(*columns)  # a repeated (t_s, t_e, k)
         t_s, t_e, k = zip(*keys)
         members = [members[i] for i in order]
-        if size is not None:
-            size = [size[i] for i in order]
+        size = [size[i] for i in order]
     texts = list(dict.fromkeys(members))  # in order of first appearance
     labels_of = [text.split(MEMBER_SEPARATOR) for text in texts]
     ids = dict(zip(dict.fromkeys(chain.from_iterable(labels_of)), count()))
@@ -133,7 +123,7 @@ def _result_from_columns(lines: Sequence[int], k: Sequence, t_s: Sequence, t_e: 
     # An empty member text splits into one empty label, and a text that
     # lists a label twice gets a set smaller than its label list.
     if ("" in ids or sum(map(len, labels_of)) != sum(map(len, members_of.values()))
-            or (size is not None and size != list(map(len, sets)))):
+            or size != list(map(len, sets))):
         _raise_first_fault(*columns)
     spans = {span: Interval(*span) for span in dict.fromkeys(zip(t_s, t_e))}
     cores = map(SpanCore, k, map(spans.__getitem__, zip(t_s, t_e)), sets)
@@ -148,23 +138,21 @@ def _raise_first_fault(lines, orders, starts, ends, sizes, members) -> NoReturn:
     (k, t_s, t_e) seen on an earlier record.
     """
     keys = set()
-    for line, k, t_s, t_e, size, text in zip(
-            lines, orders, starts, ends, repeat(None) if sizes is None else sizes, members):
+    for line, k, t_s, t_e, size, text in zip(lines, orders, starts, ends, sizes, members):
         try:
-            k, t_s, t_e = int(k), int(t_s), int(t_e)
-            size = None if size is None else int(size)
+            k, t_s, t_e, size = int(k), int(t_s), int(t_e), int(size)
         except ValueError:
             raise ValueError(f"core file line {line}: "
                              "k, t_s, t_e and size must be integers") from None
         labels = text.split(MEMBER_SEPARATOR) if text else []
         n = len(labels)
         key = (t_s, t_e, k)
-        if size is not None and size != n:
+        if size != n:
             problem = f"size field {size} disagrees with {n} members"
         elif k < 1:
             problem = f"order {k} must be at least 1"
         elif not 0 <= t_s <= t_e:
-            problem = _span_problem(t_s, t_e)
+            problem = f"interval [{t_s},{t_e}] needs 0 <= t_s <= t_e"
         elif not n:
             problem = "a core needs at least one member"
         elif len(distinct := set(labels)) != n:
@@ -180,16 +168,23 @@ def _raise_first_fault(lines, orders, starts, ends, sizes, members) -> NoReturn:
     raise AssertionError("a column check failed on records that each pass")
 
 
-def read_cores_csv(stream: TextIO) -> DecompositionResult:
-    text = stream.read()
-    columns = _canonical_csv_columns(text)
-    fault = None
-    if columns is None:
-        columns, fault = _parsed_csv_columns(text)
+def read_cores(stream: TextIO, fmt: str) -> DecompositionResult:
+    if fmt == "csv":
+        columns, fault = _csv_columns(stream)
+    elif fmt == "jsonl":
+        columns, fault = _jsonl_columns(stream)
+    else:
+        raise ValueError(f"unknown core file format {fmt!r}")
     result = _result_from_columns(*columns)
     if fault is not None:  # only now, so that a fault in an earlier record wins
         raise ValueError(fault)
     return result
+
+
+def _csv_columns(stream: TextIO) -> tuple[tuple[Sequence, ...], str | None]:
+    text = stream.read()
+    columns = _canonical_csv_columns(text)
+    return _parsed_csv_columns(text) if columns is None else (columns, None)
 
 
 def _canonical_csv_columns(text: str) -> tuple[Sequence, ...] | None:
@@ -234,7 +229,8 @@ def _parsed_csv_columns(text: str) -> tuple[tuple[Sequence, ...], str | None]:
     return tuple(zip(*records)) or ((),) * 6, fault
 
 
-def read_cores_jsonl(stream: TextIO) -> DecompositionResult:
+def _jsonl_columns(stream: TextIO) -> tuple[tuple[Sequence, ...], str | None]:
+    """The columns of a JSONL core file, and the fault of the first line that is no record."""
     records = []
     fault = None
     for line_number, line in enumerate(stream, start=1):
@@ -249,12 +245,8 @@ def read_cores_jsonl(stream: TextIO) -> DecompositionResult:
         except RecursionError:
             fault = f"core file line {line_number}: JSON nested too deeply"
             break
-        records.append((line_number, k, t_s, t_e, MEMBER_SEPARATOR.join(labels)))
-    lines, k, t_s, t_e, members = tuple(zip(*records)) or ((),) * 5
-    result = _result_from_columns(lines, k, t_s, t_e, None, members)
-    if fault is not None:  # only now, so that a fault in an earlier record wins
-        raise ValueError(fault)
-    return result
+        records.append((line_number, k, t_s, t_e, len(labels), MEMBER_SEPARATOR.join(labels)))
+    return tuple(zip(*records)) or ((),) * 6, fault
 
 
 def _jsonl_row(record) -> tuple[int, int, int, list[str]]:
@@ -277,26 +269,9 @@ def _jsonl_row(record) -> tuple[int, int, int, list[str]]:
     return (*numbers, members)
 
 
-def _span_problem(t_s: int, t_e: int) -> str:
-    return f"interval [{t_s},{t_e}] needs 0 <= t_s <= t_e"
-
-
-def read_cores(stream: TextIO, fmt: str) -> DecompositionResult:
-    if fmt == "csv":
-        return read_cores_csv(stream)
-    if fmt == "jsonl":
-        return read_cores_jsonl(stream)
-    raise ValueError(f"unknown core file format {fmt!r}")
-
-
 def table_to_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """Small helper for the stats/grid/purity tables."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_render(cell) for cell in row])
-    return out.getvalue()
+    """The stats/grid/purity tables: numbers under fixed names, so no cell needs quoting."""
+    return "".join(",".join(map(_render, row)) + "\n" for row in chain([header], rows))
 
 
 def _render(cell) -> str:

@@ -113,7 +113,8 @@ class TemporalGraph:
     Only non-empty edge sets are stored, so memory follows the contacts, not
     the time span. Edge sets are canonicalized on construction: endpoints
     ordered low-high, duplicates collapsed. Self-loops are rejected outright;
-    droppers belong in the ingestion layer, not here.
+    droppers belong in the ingestion layer, not here. Labels follow
+    ingest_contacts' rule, so every file written from the graph reads back.
     """
 
     __slots__ = ("_labels", "_edges", "_t_max", "_nonempty")
@@ -122,6 +123,8 @@ class TemporalGraph:
         if not edges_by_time:
             raise ValueError("a temporal graph needs at least one timestamp")
         self._labels = tuple(labels)
+        for label in self._labels:
+            _check_label(label)
         if len(set(self._labels)) != len(self._labels):
             raise ValueError("duplicate vertex labels")
         n = len(self._labels)

@@ -479,6 +479,18 @@ class TestErrorsAndDeterminism:
         error = capsys.readouterr().err.strip().splitlines()
         assert len(error) == 1 and error[0].startswith(f"error: {attrs} {message}")
 
+    def test_attribute_field_over_the_csv_limit_exits_2(self, contact_file, tmp_path, capsys):
+        assert run("maximal", "--input", contact_file, "--out", tmp_path) == 0
+        capsys.readouterr()
+        attrs = tmp_path / "attrs.csv"
+        attrs.write_text("label,dept\na,P\nb," + "Q" * 200_000 + "\n")
+        assert run("purity", "--cores", tmp_path / "maximal.csv", "--attributes", attrs,
+                   "--attribute", "dept", "--out", tmp_path / "o") == 2
+        error = capsys.readouterr().err.strip().splitlines()
+        assert error == [f"error: {attrs} line 3: field larger than field limit "
+                         f"({csv.field_size_limit()})"]
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
     def test_artifacts_get_the_mode_the_umask_allows(self, contact_file, tmp_path,
                                                      umask, mode):
@@ -640,3 +652,19 @@ class TestSparseTimeAxis:
         assert (out / "stats_by_span.csv").read_text() == "span,count,mean_size\n1,2,2\n"
         assert run("grid", "--cores", out / "cores.csv", "--out", out) == 0
         assert (out / "grid.csv").read_text() == "t_s,span,k\n0,1,1\n1000000,1,1\n"
+
+
+def test_the_cli_imports_only_the_standard_library():
+    """No runtime dependencies: importing spancores.cli loads only spancores and the
+    standard library. The snapshot comes first, since `site` may import more."""
+    src = str(Path(spancores.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys; before = set(sys.modules); import spancores.cli; "
+            "print(*sorted({name.partition('.')[0] for name in set(sys.modules) - before}))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "spancores" in loaded
+    assert [name for name in loaded
+            if name != "spancores" and name not in sys.stdlib_module_names] == []

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spancores import (
+    DecompositionResult,
     Interval,
     MaximalTrace,
     SpanCore,
@@ -17,6 +18,7 @@ from spancores import (
     naive_span_cores,
     span_cores,
 )
+from spancores.serialize import cores_to_csv, cores_to_jsonl
 from .conftest import (
     as_triples,
     community_temporal_graph,
@@ -32,11 +34,24 @@ from .conftest import (
 )
 
 ENGINES = [naive_span_cores, span_cores, naive_maximal_span_cores, maximal_span_cores]
+MAXIMAL_ENGINES = (naive_maximal_span_cores, maximal_span_cores)
 
 G_EX_MAXIMAL = {
     (2, (0, 1), frozenset({0, 1, 2})),
     (1, (0, 2), frozenset({0, 1})),
 }
+
+
+@pytest.fixture(scope="module")
+def community_oracle() -> tuple[TemporalGraph, set, set]:
+    """A 200-vertex, 31-timestamp graph with its full and maximal oracle cores."""
+    g = community_temporal_graph(200, 30, communities=4)
+    full = oracle_span_cores(g)
+    return g, full, oracle_maximal(full)
+
+
+def _labelled(result: DecompositionResult) -> set:
+    return {(c.order, c.span, frozenset(result.member_labels(c))) for c in result.cores}
 
 
 def traced_run(engine, g: TemporalGraph) -> tuple:
@@ -222,3 +237,24 @@ class TestEveryEngine:
                     for order, (start, end), members in as_triples(engine(g))}
         assert len(mirrored) > 10
         assert as_triples(engine(reversed_g)) == mirrored
+
+    def test_matches_the_oracle_at_benchmark_scale(self, engine, community_oracle):
+        g, full, maximal = community_oracle
+        assert (g.vertex_count, g.contact_count(), len(full), len(maximal)) == (200, 12906,
+                                                                                3336, 21)
+        assert as_triples(engine(g)) == (maximal if engine in MAXIMAL_ENGINES else full)
+
+    def test_vertex_relabelling_changes_no_labelled_core(self, engine, community_oracle):
+        """A permutation of vertex ids gives the same labelled cores and file bytes."""
+        g = community_oracle[0]
+        new_id = list(range(g.vertex_count))
+        random.Random(31).shuffle(new_id)
+        labels = [""] * g.vertex_count
+        for u, label in enumerate(g.labels):
+            labels[new_id[u]] = label
+        permuted = TemporalGraph(labels, [{(new_id[u], new_id[v]) for u, v in g.edges_at(t)}
+                                          for t in range(g.t_max + 1)])
+        result, relabelled = engine(g), engine(permuted)
+        assert _labelled(relabelled) == _labelled(result)
+        assert cores_to_csv(relabelled) == cores_to_csv(result)
+        assert cores_to_jsonl(relabelled) == cores_to_jsonl(result)

@@ -29,8 +29,6 @@ from spancores.serialize import (
     cores_to_jsonl,
     metrics_to_json,
     read_cores,
-    read_cores_csv,
-    read_cores_jsonl,
     table_to_csv,
 )
 from .conftest import (
@@ -60,7 +58,7 @@ class TestCsv:
 
     def test_round_trip(self, g_ex):
         result = span_cores(g_ex)
-        loaded = read_cores_csv(io.StringIO(cores_to_csv(result)))
+        loaded = read_cores(io.StringIO(cores_to_csv(result)), "csv")
         assert as_triples(loaded) == as_triples(result)
         assert cores_to_csv(loaded) == cores_to_csv(result)
 
@@ -83,12 +81,12 @@ class TestCsv:
 
     def test_reader_rejects_wrong_header(self):
         with pytest.raises(ValueError, match="header"):
-            read_cores_csv(io.StringIO("a,b,c\n"))
+            read_cores(io.StringIO("a,b,c\n"), "csv")
 
     def test_reader_rejects_inconsistent_size(self):
         text = "k,t_s,t_e,size,members\n1,0,0,3,a;b\n"
         with pytest.raises(ValueError, match="disagrees"):
-            read_cores_csv(io.StringIO(text))
+            read_cores(io.StringIO(text), "csv")
 
 
 class TestJsonl:
@@ -106,7 +104,7 @@ class TestJsonl:
 
     def test_round_trip(self, g_ex):
         result = naive_span_cores(g_ex)
-        loaded = read_cores_jsonl(io.StringIO(cores_to_jsonl(result)))
+        loaded = read_cores(io.StringIO(cores_to_jsonl(result)), "jsonl")
         assert as_triples(loaded) == as_triples(result)
 
 
@@ -132,28 +130,28 @@ class TestReadBack:
     CSV = "k,t_s,t_e,size,members\n1,0,0,3,b;c;d\n2,0,0,2,a;b\n"
 
     def test_summaries_leave_labels_unnumbered(self):
-        loaded = read_cores_csv(io.StringIO(self.CSV))
+        loaded = read_cores(io.StringIO(self.CSV), "csv")
         assert stats_by_order(loaded) == [(1, 1, 3.0), (2, 1, 2.0)]
         assert stats_by_span(loaded) == [(1, 2, 2.5)]
         assert activity_grid(loaded) == {(0, 1): 2}
         assert [loaded.member_labels(c) for c in loaded.cores] == [["b", "c", "d"], ["a", "b"]]
 
     def test_labels_are_numbered_in_order_of_first_appearance(self):
-        loaded = read_cores_csv(io.StringIO(self.CSV))
+        loaded = read_cores(io.StringIO(self.CSV), "csv")
         assert [c.members for c in loaded.cores] == [frozenset({0, 1, 2}), frozenset({3, 0})]
         assert loaded.labels == ("b", "c", "d", "a")
         assert [c.size for c in loaded.cores] == [3, 2]
 
     def test_cores_with_the_same_members_share_one_set(self):
         text = "k,t_s,t_e,size,members\n1,0,0,2,a;b\n1,0,1,2,a;b\n1,1,1,2,b;c\n"
-        first, second, third = read_cores_csv(io.StringIO(text)).cores
+        first, second, third = read_cores(io.StringIO(text), "csv").cores
         assert first.members is second.members
         assert third.members == frozenset({1, 2})
 
     def test_repeated_core_out_of_order_names_its_line(self):
         text = "k,t_s,t_e,size,members\n1,0,1,1,a\n1,0,0,1,a\n1,0,1,1,b\n"
         with pytest.raises(ValueError, match="line 4: a second core of order 1 over \\[0,1\\]"):
-            read_cores_csv(io.StringIO(text))
+            read_cores(io.StringIO(text), "csv")
 
 
 def _shuffled_records(text: str, fmt: str, rng) -> str:
@@ -192,6 +190,37 @@ def test_read_back_result_behaves_like_the_engine_result(g, engine, fmt, rng):
     assert cores_to_csv(shuffled) == cores_to_csv(result)
     assert as_triples(shuffled) == as_triples(loaded)
     assert shuffled.labels == loaded.labels
+
+
+def _json_dumps_reference(result, maximal: bool) -> str:
+    """The JSONL text as json.dumps writes each whole record."""
+    records = [{"k": c.order, "t_s": c.span.start, "t_e": c.span.end,
+                "members": result.member_labels(c)} for c in result.cores]
+    if maximal:
+        for record in records:
+            record["maximal"] = True
+    return "".join(json.dumps(record) + "\n" for record in records)
+
+
+# Characters a vertex label may hold that JSON escapes.
+JSON_ESCAPED = ['"', "\\", "é", "\x01", "\U0001F600"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False),
+       st.sampled_from([naive_span_cores, span_cores, maximal_span_cores]), st.booleans())
+def test_jsonl_bytes_are_json_dumps_of_each_record(rng, engine, maximal):
+    g = random_temporal_graph(rng, max_vertices=10, max_timestamps=6)
+    g = TemporalGraph([label + "".join(rng.sample(JSON_ESCAPED, rng.randint(0, 2)))
+                       for label in g.labels],
+                      [g.edges_at(t) for t in range(g.t_max + 1)])
+    result = engine(g)
+    text = cores_to_jsonl(result, maximal=maximal)
+    assert text == _json_dumps_reference(result, maximal)
+    for fmt, written in (("csv", cores_to_csv(result)), ("jsonl", text)):
+        loaded = read_cores(io.StringIO(written), fmt)
+        assert cores_to_jsonl(loaded, maximal=maximal) == _json_dumps_reference(loaded, maximal)
+        assert cores_to_jsonl(loaded, maximal=maximal) == text
 
 
 def _csv_writer_reference(result) -> str:
@@ -237,7 +266,7 @@ def test_canonical_and_csv_reader_paths_read_alike(rng, quoted, engine, variatio
     assert text == _csv_writer_reference(result)
     varied = _varied(text, variation, rng)
 
-    loaded = read_cores_csv(io.StringIO(varied))
+    loaded = read_cores(io.StringIO(varied), "csv")
     assert _labelled(loaded) == _labelled(result)
     assert cores_to_csv(loaded) == text
 
@@ -257,10 +286,10 @@ def test_csv_reader_path_reads_fields_over_the_field_limit_and_restores_it():
     row = "1,0,0,40," + ";".join(labels)
     limit = csv.field_size_limit(50)
     try:
-        loaded = read_cores_csv(io.StringIO(f"k,t_s,t_e,size,members\r\n{row}\r\n"))
+        loaded = read_cores(io.StringIO(f"k,t_s,t_e,size,members\r\n{row}\r\n"), "csv")
         assert csv.field_size_limit() == 50
         with pytest.raises(ValueError, match="line 3: expected 5 fields, got 2"):
-            read_cores_csv(io.StringIO(f"k,t_s,t_e,size,members\r\n{row}\r\n1,0\r\n"))
+            read_cores(io.StringIO(f"k,t_s,t_e,size,members\r\n{row}\r\n1,0\r\n"), "csv")
         assert csv.field_size_limit() == 50
     finally:
         csv.field_size_limit(limit)
@@ -278,7 +307,7 @@ def test_csv_reader_path_reads_fields_over_the_field_limit_and_restores_it():
 def test_csv_reader_faults_are_named_in_file_order(rows, message):
     text = "k,t_s,t_e,size,members\n1,0,0,2,a;b\n" + "".join(row + "\n" for row in rows)
     with pytest.raises(ValueError, match=message) as error:
-        read_cores_csv(io.StringIO(text))
+        read_cores(io.StringIO(text), "csv")
     assert str(error.value).startswith("core file " + message)
 
 

@@ -77,6 +77,17 @@ class TestConstruction:
         with pytest.raises(ValueError, match="duplicate"):
             TemporalGraph(["a", "a"], [[]])
 
+    @pytest.mark.parametrize("label", ["a;b", "a,b", "a b", "", "#x"])
+    def test_rejects_the_labels_ingest_rejects(self, label):
+        # Each would write a core file or contact lines that do not read back.
+        triangle = {(0, 1), (1, 2), (0, 2)}
+        with pytest.raises(ValueError) as built:
+            TemporalGraph([label, "c", "d"], [triangle])
+        with pytest.raises(ValueError) as ingested:
+            ingest_contacts([(label, "c", 0), ("c", "d", 0), (label, "d", 0)])
+        assert str(built.value) == str(ingested.value)
+        assert str(built.value).startswith(f"vertex label {label!r} ")
+
     def test_rejects_empty_time_domain(self):
         with pytest.raises(ValueError):
             TemporalGraph(["a"], [])
