@@ -11,8 +11,7 @@ import csv
 import math
 import random
 from collections import Counter, defaultdict
-from dataclasses import dataclass
-from typing import Iterable, Mapping, TextIO
+from typing import Iterable, Mapping, NamedTuple, TextIO
 
 from .core_kernel import core_decomposition
 from .span_cores import DecompositionResult, kernel_vertices
@@ -74,6 +73,9 @@ class AttributeTable:
                 raise ValueError("line 1: attribute CSV must start with 'label,<attr>,...', "
                                  f"got {header!r}")
             attributes = header[1:]
+            for i, attribute in enumerate(attributes):
+                if attribute in attributes[:i]:
+                    raise ValueError(f"line 1: attribute {attribute!r} is listed twice")
             values: dict[str, dict[str, str]] = {}
             for row in reader:
                 if not row:
@@ -99,8 +101,7 @@ class AttributeTable:
         return row.get(attribute)
 
 
-@dataclass
-class PurityCurve:
+class PurityCurve(NamedTuple):
     """Mean core purity per timestamp; timestamps no core spans are absent."""
 
     by_timestamp: dict[int, float]
@@ -203,8 +204,7 @@ def _draw_pair(rng: random.Random, n: int) -> tuple[int, int]:
     return i, j
 
 
-@dataclass
-class AnomalyReport:
+class AnomalyReport(NamedTuple):
     """Outcome of span-core anomaly detection on a contact log.
 
     removed_contacts holds one count per non-empty timestamp of the log.

@@ -14,14 +14,12 @@ the adjacency lists its replay keeps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, MutableSequence, Sequence
+from typing import Iterable, Mapping, MutableSequence, NamedTuple, Sequence
 
 from .temporal_graph import Edge
 
 
-@dataclass(frozen=True)
-class CoreLabeling:
+class CoreLabeling(NamedTuple):
     """Coreness per vertex; vertices of degree zero get no entry."""
 
     coreness: Mapping[int, int]

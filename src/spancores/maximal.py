@@ -14,7 +14,6 @@ straight from those neighbour lists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .core_kernel import innermost_core
@@ -33,16 +32,17 @@ class TraceStep(NamedTuple):
     accepted: bool
 
 
-@dataclass
 class MaximalTrace:
     """Optional instrumentation: interval visits in processing order.
 
-    final_k_prime maps each non-empty timestamp to the lower bound k' the
-    engine held for it when the run ended.
+    The one record an engine fills in. final_k_prime maps each non-empty
+    timestamp to the lower bound k' the engine held for it when the run
+    ended.
     """
 
-    steps: list[TraceStep] = field(default_factory=list)
-    final_k_prime: dict[int, int] = field(default_factory=dict)
+    def __init__(self):
+        self.steps: list[TraceStep] = []
+        self.final_k_prime: dict[int, int] = {}
 
 
 def naive_maximal_span_cores(g: TemporalGraph) -> DecompositionResult:

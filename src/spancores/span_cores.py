@@ -11,8 +11,8 @@ all the edges of one of them.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 from .core_kernel import core_decomposition
 from .temporal_graph import Edge, Interval, TemporalGraph, edges_in_interval
@@ -25,6 +25,12 @@ class SpanCore:
     every core of its result that lists the same members.
     """
 
+    # SpanCore and Interval stay __slots__ classes while every other record
+    # is a named tuple: a core-file read builds and reads thousands of both,
+    # and as named tuples (CPython 3.11, 2-CPU Xeon) 20K constructions took
+    # 6.0 ms instead of 4.0 ms (SpanCore) and 6.9 ms instead of 4.5 ms
+    # (Interval), and reading `size` as a property over 19.5K cores 1.5 ms
+    # instead of 0.22 ms.
     __slots__ = ("order", "span", "size", "members")
 
     def __init__(self, order: int, span: Interval, members: frozenset[int]):
@@ -48,8 +54,7 @@ class SpanCore:
         return f"SpanCore(order={self.order}, span={self.span!r}, members={self.members!r})"
 
 
-@dataclass
-class RunMetrics:
+class RunMetrics(NamedTuple):
     """Cost accounting for one engine run, a function of its graph alone.
 
     processed_vertices is the cost model the engines compete on. The naive
@@ -66,19 +71,16 @@ class RunMetrics:
     cores_emitted: int = 0
 
 
-class DecompositionResult:
+class DecompositionResult(NamedTuple):
     """Engine output: cores sorted by (start, end, order), plus label table.
 
     Vertex id u is labelled `labels[u]`. A result read back from a core file
     numbers its labels in order of first appearance across its cores.
     """
 
-    __slots__ = ("cores", "labels", "metrics")
-
-    def __init__(self, cores: tuple[SpanCore, ...], labels: tuple[str, ...], metrics: RunMetrics):
-        self.cores = cores
-        self.labels = labels
-        self.metrics = metrics
+    cores: tuple[SpanCore, ...]
+    labels: tuple[str, ...]
+    metrics: RunMetrics
 
     def member_labels(self, core: SpanCore) -> list[str]:
         return sorted(map(self.labels.__getitem__, core.members))

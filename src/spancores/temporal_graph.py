@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import io
 from collections.abc import Sequence
-from functools import total_ordering
 from itertools import count
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
@@ -46,11 +45,10 @@ class ContactParseError(ValueError):
         self.reason = reason
 
 
-@total_ordering
 class Interval:
     """Inclusive timestamp range [start, end].
 
-    Equal intervals hash alike and order by (start, end). Intervals key
+    Equal intervals hash alike and sort by (start, end). Intervals key
     dicts and sets, so never assign to a field after construction.
     """
 

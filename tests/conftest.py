@@ -542,7 +542,7 @@ def reference_span_cores(g: TemporalGraph) -> DecompositionResult:
     both of its parents yielded cores, so no queued interval covers an empty
     timestamp.
     """
-    metrics = RunMetrics()
+    processed_vertices = cores_emitted = 0
     cores: list[SpanCore] = []
     everyone = frozenset(range(g.vertex_count))
     queue: deque[tuple[int, int]] = deque()
@@ -567,9 +567,9 @@ def reference_span_cores(g: TemporalGraph) -> DecompositionResult:
         if not edges:
             continue
         labeling = core_decomposition(candidates, edges)
-        metrics.processed_vertices += len(candidates)
+        processed_vertices += len(candidates)
         order_one = _emit_cores(labeling, Interval(t_s, t_e), cores)
-        metrics.cores_emitted += labeling.max_order  # one core per order 1..max_order
+        cores_emitted += labeling.max_order  # one core per order 1..max_order
         for child in ((max(t_s - 1, 0), t_e), (t_s, min(t_e + 1, g.t_max))):
             if child == (t_s, t_e):
                 continue  # at the domain boundary the trimmed child folds back
@@ -581,7 +581,8 @@ def reference_span_cores(g: TemporalGraph) -> DecompositionResult:
             else:
                 frontier.candidates[child] = order_one
     cores.sort(key=SpanCore.sort_key)
-    return DecompositionResult(tuple(cores), g.labels, metrics)
+    return DecompositionResult(tuple(cores), g.labels,
+                               RunMetrics(processed_vertices, cores_emitted))
 
 
 # The direct maximal engine as it was when it bucketed vertex degrees in a
@@ -639,7 +640,7 @@ def reference_maximal_span_cores(g: TemporalGraph,
     beats the bound can matter, and the interval is skipped as non-maximal
     unless it strictly beats the bound.
     """
-    metrics = RunMetrics()
+    processed_vertices = cores_emitted = 0
     cores: list[SpanCore] = []
     # k_prime[t] carries the innermost order of [previous start, t] across
     # start times; it is never reset. Intervals with edges cover only
@@ -667,13 +668,13 @@ def reference_maximal_span_cores(g: TemporalGraph,
                 else:
                     subgraph = edges  # every endpoint has degree >= 1
                 order, members = innermost_of(candidates, subgraph)
-                metrics.processed_vertices += len(candidates)
+                processed_vertices += len(candidates)
             else:
                 order, members = 0, frozenset()
             accepted = order > bound
             if accepted:
                 cores.append(SpanCore(order, Interval(t_s, t_e), members))
-                metrics.cores_emitted += 1
+                cores_emitted += 1
             k_trim = max(k_trim, order)
             k_prime[t_e] = max(k_prime[t_e], k_trim)
             if trace is not None:
@@ -683,4 +684,5 @@ def reference_maximal_span_cores(g: TemporalGraph,
     if trace is not None:
         trace.final_k_prime = k_prime
     cores.sort(key=SpanCore.sort_key)
-    return DecompositionResult(tuple(cores), g.labels, metrics)
+    return DecompositionResult(tuple(cores), g.labels,
+                               RunMetrics(processed_vertices, cores_emitted))

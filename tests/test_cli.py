@@ -12,9 +12,13 @@ from pathlib import Path
 import pytest
 
 import spancores
-from spancores import cli, ingest_contacts, parse_contact_lines
+from spancores import (AttributeTable, TemporalGraph, activity_grid, cli, contact_lines,
+                       ingest_contacts, parse_contact_lines, purity_curve, span_cores,
+                       stats_by_order, stats_by_span)
 from spancores.cli import main
-from .conftest import canonical_dump, planted_clique_graph, ratio_fixture_graph
+from spancores.serialize import table_to_csv
+from .conftest import (canonical_dump, community_temporal_graph, planted_clique_graph,
+                       ratio_fixture_graph)
 
 G_EX_CONTACTS = """\
 # worked example, pre-discretized
@@ -196,6 +200,43 @@ class TestStatsGridPurity:
         assert (out / "purity.csv").read_text() == (
             "t,purity\n0,0.8333333333\n1,0.8333333333\n2,1\n"
         )
+
+    def test_tables_of_a_quoted_core_file_match_the_library_at_scale(self, tmp_path):
+        """Labels holding '"' make cores.csv non-canonical, so it is read by csv.reader."""
+        g = community_temporal_graph(200, 30, communities=4)
+        g = TemporalGraph([f'v"{u}' for u in range(g.vertex_count)],
+                          [g.edges_at(t) for t in range(g.t_max + 1)])
+        contacts = tmp_path / "contacts.txt"
+        contacts.write_text("".join(line + "\n" for line in contact_lines(g)))
+        with open(tmp_path / "attrs.csv", "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["label", "team"])
+            writer.writerows([label, f"t{u % 3}"] for u, label in enumerate(g.labels)
+                             if u % 7)  # every seventh vertex has no team
+        out = tmp_path / "out"
+        assert run("decompose", "--input", contacts, "--origin", 0, "--out", out) == 0
+        cores = out / "cores.csv"
+        assert '"' in cores.read_text()
+        assert run("stats", "--cores", cores, "--out", out) == 0
+        assert run("grid", "--cores", cores, "--min-span", 2, "--out", out) == 0
+        assert run("purity", "--cores", cores, "--attributes", tmp_path / "attrs.csv",
+                   "--attribute", "team", "--out", out) == 0
+
+        result = span_cores(g)
+        assert len(result.cores) == 3336
+        with open(tmp_path / "attrs.csv", newline="") as handle:
+            curve = purity_curve(result, AttributeTable.from_csv(handle), "team")
+        grid = activity_grid(result, min_span=2)
+        expected = {
+            "stats_by_order.csv": table_to_csv(["k", "count", "mean_size"],
+                                               stats_by_order(result)),
+            "stats_by_span.csv": table_to_csv(["span", "count", "mean_size"],
+                                              stats_by_span(result)),
+            "grid.csv": table_to_csv(["t_s", "span", "k"],
+                                     [(*cell, grid[cell]) for cell in sorted(grid)]),
+            "purity.csv": table_to_csv(["t", "purity"], sorted(curve.by_timestamp.items())),
+        }
+        assert {name: (out / name).read_text() for name in expected} == expected
 
 
 class TestShuffle:
@@ -479,6 +520,17 @@ class TestErrorsAndDeterminism:
         error = capsys.readouterr().err.strip().splitlines()
         assert len(error) == 1 and error[0].startswith(f"error: {attrs} {message}")
 
+    def test_attribute_listed_twice_exits_2(self, contact_file, tmp_path, capsys):
+        assert run("maximal", "--input", contact_file, "--out", tmp_path) == 0
+        capsys.readouterr()
+        attrs = tmp_path / "attrs.csv"
+        attrs.write_text("label,team,team\na,x,y\nb,x,y\nc,z,y\n")
+        assert run("purity", "--cores", tmp_path / "maximal.csv", "--attributes", attrs,
+                   "--attribute", "team", "--out", tmp_path / "o") == 2
+        error = capsys.readouterr().err.strip().splitlines()
+        assert error == [f"error: {attrs} line 1: attribute 'team' is listed twice"]
+        assert not (tmp_path / "o" / "purity.csv").exists()
+
     def test_attribute_field_over_the_csv_limit_exits_2(self, contact_file, tmp_path, capsys):
         assert run("maximal", "--input", contact_file, "--out", tmp_path) == 0
         capsys.readouterr()
@@ -668,3 +720,5 @@ def test_the_cli_imports_only_the_standard_library():
     assert "spancores" in loaded
     assert [name for name in loaded
             if name != "spancores" and name not in sys.stdlib_module_names] == []
+    # Records are named tuples: dataclasses and its inspect import cost every start.
+    assert {"dataclasses", "inspect"}.isdisjoint(loaded)

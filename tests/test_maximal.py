@@ -12,7 +12,9 @@ from spancores import (
     MaximalTrace,
     SpanCore,
     TemporalGraph,
+    contact_lines,
     edges_in_interval,
+    ingest_contacts,
     maximal_span_cores,
     naive_maximal_span_cores,
     naive_span_cores,
@@ -258,3 +260,19 @@ class TestEveryEngine:
         assert _labelled(relabelled) == _labelled(result)
         assert cores_to_csv(relabelled) == cores_to_csv(result)
         assert cores_to_jsonl(relabelled) == cores_to_jsonl(result)
+
+    def test_raw_time_scaling_and_repeated_contacts_change_no_core(self, engine,
+                                                                 community_oracle):
+        """Times scaled by a window, each with an offset inside its window, and every
+        contact listed twice in shuffled order ingest to the same core file."""
+        g = community_oracle[0]
+        contacts = [(u, v, int(t)) for u, v, t in map(str.split, contact_lines(g))]
+        rng = random.Random(41)
+        window = 7
+        scaled = [(u, v, t * window + rng.randrange(window)) for u, v, t in contacts]
+        doubled = contacts * 2
+        rng.shuffle(doubled)
+        expected = cores_to_csv(engine(g))
+        for variant in (ingest_contacts(scaled, window=window, origin=0),
+                        ingest_contacts(doubled, origin=0)):
+            assert cores_to_csv(engine(variant)) == expected

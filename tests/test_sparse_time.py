@@ -7,6 +7,8 @@ conftest that walk every timestamp.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,9 +16,11 @@ from spancores import (
     TemporalGraph,
     contact_lines,
     detect_anomalies,
+    ingest_contacts,
     maximal_span_cores,
     naive_maximal_span_cores,
     naive_span_cores,
+    parse_contact_lines,
     precision_recall,
     reshuffle_timestamps,
     span_cores,
@@ -102,6 +106,27 @@ def test_anomaly_pass_and_scores_match_reference(g, tr, ratio, data):
     positives = data.draw(st.sets(st.integers(0, g.t_max)))
     assert (precision_recall(g, report, positives)
             == reference_precision_recall(g, expected, positives))
+
+
+def test_anomaly_pass_and_null_model_match_reference_at_benchmark_scale(tmp_path,
+                                                                       monkeypatch):
+    """The first anomaly-sparse benchmark instance: thousands of timestamps, most empty."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    workloads.generate("anomaly-sparse", 777, tmp_path)
+    with open(tmp_path / "i0.txt", encoding="utf-8") as handle:
+        contacts, _ = parse_contact_lines(handle)
+    g = ingest_contacts(contacts, window=workloads.WINDOW, origin=0)
+    assert g.t_max > 5000 and len(g.nonempty_times) < 0.2 * (g.t_max + 1)
+    maximal = maximal_span_cores(g)
+    report = detect_anomalies(g, maximal, tr=5, ratio=1.5)
+    expected = reference_detect_anomalies(g, maximal, tr=5, ratio=1.5)
+    assert report.anomalous_intervals
+    assert _report_fields(report) == _report_fields(expected)
+    assert report.removed_contacts == {t: expected.removed_contacts[t] for t in g.nonempty_times}
+    assert (canonical_dump(reshuffle_timestamps(g, seed=7))
+            == canonical_dump(reference_reshuffle_timestamps(g, seed=7)))
 
 
 @settings(max_examples=100, deadline=None)
