@@ -14,7 +14,7 @@ from collections import Counter, defaultdict
 from typing import Iterable, Mapping, NamedTuple, TextIO
 
 from .core_kernel import core_decomposition
-from .span_cores import DecompositionResult, kernel_vertices
+from .span_cores import DecompositionResult
 from .temporal_graph import Edge, Interval, TemporalGraph, edges_in_interval
 
 
@@ -219,7 +219,7 @@ class AnomalyReport(NamedTuple):
 
 def _order_one_core(g: TemporalGraph, interval: Interval) -> frozenset[int]:
     edges = edges_in_interval(g, interval)
-    labeling = core_decomposition(kernel_vertices(g, edges), edges)
+    labeling = core_decomposition(range(g.vertex_count), edges)
     return frozenset(labeling.coreness)
 
 

@@ -14,7 +14,6 @@ import os
 import sys
 import tempfile
 import time
-import tracemalloc
 from pathlib import Path
 
 from . import __version__
@@ -89,6 +88,14 @@ def _write_manifest(args: argparse.Namespace) -> None:
     _write_atomic(Path(args.out) / "run-manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+def _check_out(path_text: str) -> None:
+    """Raise ValueError unless `--out` is a directory or can be made one."""
+    path = Path(path_text)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise ValueError(f"--out {path}: {existing} is not a directory")
+
+
 def _open_input(path_text: str, what: str):
     """Open an input file for reading; its `name` is the path as messages show it."""
     path = Path(path_text)
@@ -120,6 +127,7 @@ def _run_engine(engine, graph, bench: bool):
     # tracemalloc slows the engine several-fold, so the time comes from the
     # run above and the peak memory from a second run. A caller's tracing is
     # left on, and the memory traced before the run is not the engine's.
+    import tracemalloc  # here, so that only --bench loads it
     outer = tracemalloc.is_tracing()
     if not outer:
         tracemalloc.start()
@@ -334,6 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_out(args.out)  # before any input is read
         args.func(args)
         _write_manifest(args)
     except (ValueError, OSError) as error:

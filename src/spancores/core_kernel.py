@@ -14,7 +14,8 @@ the adjacency lists its replay keeps.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, MutableSequence, NamedTuple, Sequence
+from collections import defaultdict
+from typing import Container, Iterable, Mapping, MutableSequence, NamedTuple, Sequence
 
 from .temporal_graph import Edge
 
@@ -57,19 +58,22 @@ def _peel(vertices: Iterable[int], adjacency, degree) -> dict[int, int]:
     return coreness
 
 
-def core_decomposition(vertices: Iterable[int], edges: Iterable[Edge]) -> CoreLabeling:
+def core_decomposition(vertices: Container[int], edges: Iterable[Edge]) -> CoreLabeling:
     """Peel the graph and label every non-isolated vertex with its coreness.
 
-    `edges` must connect vertices drawn from `vertices`; a stray endpoint is
-    a caller bug and raises.
+    Only an endpoint of `edges` can get a coreness, so adjacency is built for
+    the endpoints alone and a call costs O(|edges|): `vertices` is only asked
+    whether each endpoint is a member (a list answers in linear time). A
+    stray endpoint is a caller bug and raises.
     """
-    adjacency: dict[int, list[int]] = {u: [] for u in vertices}
+    adjacency: defaultdict[int, list[int]] = defaultdict(list)
     for u, v in edges:
-        if u not in adjacency or v not in adjacency:
-            raise ValueError(f"edge ({u},{v}) references a vertex outside the input set")
         adjacency[u].append(v)
         adjacency[v].append(u)
-    degree = {u: len(nbrs) for u, nbrs in adjacency.items() if nbrs}
+    if not all(map(vertices.__contains__, adjacency)):
+        stray = next(u for u in adjacency if u not in vertices)
+        raise ValueError(f"edge endpoint {stray} is a vertex outside the input set")
+    degree = {u: len(nbrs) for u, nbrs in adjacency.items()}
     coreness = _peel(degree, adjacency, degree)
     return CoreLabeling(coreness, max(coreness.values(), default=0))
 

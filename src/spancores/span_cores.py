@@ -11,7 +11,6 @@ all the edges of one of them.
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import chain
 from typing import NamedTuple
 
 from .core_kernel import core_decomposition
@@ -84,20 +83,6 @@ class DecompositionResult(NamedTuple):
 
     def member_labels(self, core: SpanCore) -> list[str]:
         return sorted(map(self.labels.__getitem__, core.members))
-
-
-def kernel_vertices(g: TemporalGraph, edges: frozenset[Edge]) -> set[int] | range:
-    """The vertex set to hand the kernel with `edges`: their endpoints, or all of V.
-
-    Only endpoints can get a coreness, so both give the same labeling. The
-    endpoint set costs a pass over the edges and saves the kernel an entry
-    per isolated vertex; it is built only when the edges are too few to
-    touch half the vertices. Otherwise V goes in as a `range`, which costs
-    nothing to build.
-    """
-    if 2 * len(edges) < g.vertex_count:
-        return set(chain.from_iterable(edges))
-    return range(g.vertex_count)
 
 
 def _emit_cores(labeling, span: Interval, out: list[SpanCore]) -> frozenset[int]:
@@ -176,7 +161,7 @@ def span_cores(g: TemporalGraph) -> DecompositionResult:
     for t in g.nonempty_times:
         span = Interval(t, t)
         edges = edges_in_interval(g, span)
-        level[t] = decompose(kernel_vertices(g, edges), edges, span)
+        level[t] = decompose(range(g.vertex_count), edges, span)
         processed_vertices += g.vertex_count
 
     width = 1

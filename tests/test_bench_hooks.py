@@ -87,12 +87,12 @@ def test_traced_pipeline_counts_every_kernel_call(monkeypatch, tmp_path):
     assert counts["analysis.core_decomposition"] == 1
     for key in ("kernel.vertices_in", "kernel.edges_in", "kernel.labelled"):
         assert type(counts[key]) is int and counts[key] > 0
-    # Beside the direct engine's candidates: endpoints only for the seeds at
-    # 0, 1, 5, 9 and for the anomaly pass's [0,1], and all nine vertices for
-    # the dense seed at 7. The pruned engine's [0,1] reuses its left parent's
+    # Beside the direct engine's candidates: all nine vertices for each of
+    # the five seeds and for the anomaly pass's [0,1], which hand the kernel
+    # the vertex-id range. The pruned engine's [0,1] reuses its left parent's
     # cores, so its candidates never reach the kernel.
     assert (counts["kernel.vertices_in"] - counts["maximal.processed_vertices"]
-            == 3 + 3 + 4 + 2 + 3 + 9)
+            == 5 * 9 + 9)
 
 
 def test_traced_maximal_run_counts_one_kernel_call_per_decomposed_interval(monkeypatch, tmp_path):

@@ -358,6 +358,18 @@ class TestErrorsAndDeterminism:
     def test_missing_input_fails_cleanly(self, tmp_path):
         assert run("decompose", "--input", tmp_path / "absent.txt", "--out", tmp_path) == 2
 
+    @pytest.mark.parametrize("command", ["decompose", "stats"])
+    def test_out_that_is_a_file_exits_2_before_the_input_is_read(self, tmp_path, capsys,
+                                                                 command):
+        taken = tmp_path / "taken.txt"
+        taken.write_text("a b 0\n")
+        source = ("--input",) if command == "decompose" else ("--cores",)
+        for out in (taken, taken / "sub"):
+            assert run(command, *source, tmp_path / "absent.txt", "--out", out) == 2
+            error = capsys.readouterr().err.strip().splitlines()
+            assert error == [f"error: --out {out}: {taken} is not a directory"]
+        assert taken.read_text() == "a b 0\n"
+
     def test_strict_mode_aborts_on_malformed_line(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("a b 0\nbroken line here extra\n")
@@ -722,3 +734,5 @@ def test_the_cli_imports_only_the_standard_library():
             if name != "spancores" and name not in sys.stdlib_module_names] == []
     # Records are named tuples: dataclasses and its inspect import cost every start.
     assert {"dataclasses", "inspect"}.isdisjoint(loaded)
+    # Only --bench traces memory, and it imports tracemalloc itself.
+    assert "tracemalloc" not in loaded

@@ -43,6 +43,26 @@ class TestCoreDecomposition:
         labeling = core_decomposition([5, 9, 40], [(5, 9), (9, 40), (5, 40)])
         assert labeling.coreness == {5: 2, 9: 2, 40: 2}
 
+    def test_only_asks_the_vertex_set_for_membership(self):
+        # A vertex set far larger than the graph, which refuses iteration:
+        # the kernel may only test its endpoints against it.
+        class MembershipOnly:
+            def __init__(self, n):
+                self.ids = range(n)
+
+            def __contains__(self, u):
+                return u in self.ids
+
+            def __iter__(self):
+                raise AssertionError("the kernel iterated the vertex set")
+
+        edges = [(0, 1), (1, 2), (0, 2), (2, 3), (7, 8)]
+        labeling = core_decomposition(MembershipOnly(10**9), edges)
+        assert labeling == core_decomposition(range(9), edges)
+        assert labeling.coreness == {0: 2, 1: 2, 2: 2, 3: 1, 7: 1, 8: 1}
+        with pytest.raises(ValueError, match="outside the input set"):
+            core_decomposition(MembershipOnly(8), edges)
+
     def test_path_peels_into_the_bucket_being_walked(self):
         # Peeling end vertex 0 lowers vertex 1 from degree 2 into bucket 1,
         # the bucket being walked, and leaves a stale entry in bucket 2.

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from spancores import (
     maximal_span_cores,
     naive_maximal_span_cores,
     naive_span_cores,
+    parse_contact_lines,
     span_cores,
 )
 from spancores.serialize import cores_to_csv, cores_to_jsonl
@@ -48,6 +50,22 @@ G_EX_MAXIMAL = {
 def community_oracle() -> tuple[TemporalGraph, set, set]:
     """A 200-vertex, 31-timestamp graph with its full and maximal oracle cores."""
     g = community_temporal_graph(200, 30, communities=4)
+    full = oracle_span_cores(g)
+    return g, full, oracle_maximal(full)
+
+
+@pytest.fixture(scope="module")
+def generator_oracle(tmp_path_factory) -> tuple[TemporalGraph, set, set]:
+    """The first full-community benchmark instance with its full and maximal oracle cores."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import workloads
+
+    inputs = tmp_path_factory.mktemp("full-community")
+    workloads.generate("full-community", 777, inputs)
+    with open(inputs / "i0.txt", encoding="utf-8") as handle:
+        contacts, _ = parse_contact_lines(handle)
+    g = ingest_contacts(contacts, origin=0)
     full = oracle_span_cores(g)
     return g, full, oracle_maximal(full)
 
@@ -244,6 +262,12 @@ class TestEveryEngine:
         g, full, maximal = community_oracle
         assert (g.vertex_count, g.contact_count(), len(full), len(maximal)) == (200, 12906,
                                                                                 3336, 21)
+        assert as_triples(engine(g)) == (maximal if engine in MAXIMAL_ENGINES else full)
+
+    def test_matches_the_oracle_on_the_benchmark_generator(self, engine, generator_oracle):
+        g, full, maximal = generator_oracle
+        assert (g.vertex_count, g.t_max + 1, g.contact_count(), len(full),
+                len(maximal)) == (200, 39, 30536, 5621, 40)
         assert as_triples(engine(g)) == (maximal if engine in MAXIMAL_ENGINES else full)
 
     def test_vertex_relabelling_changes_no_labelled_core(self, engine, community_oracle):
