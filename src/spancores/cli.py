@@ -9,6 +9,7 @@ can be repeated exactly. All randomness flows from --seed.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -107,7 +108,10 @@ def _open_input(path_text: str, what: str):
 def _load_graph(args: argparse.Namespace):
     check_window(args.window)  # before the input is read
     with _open_input(args.input, "input file") as handle:
-        contacts, skipped = parse_contact_lines(handle, strict=args.strict)
+        try:
+            contacts, skipped = parse_contact_lines(handle, strict=args.strict)
+        except ValueError as error:
+            raise ValueError(f"{handle.name} {error}") from None
     if skipped:
         _log(f"skipped {skipped} malformed contact line(s)")
     if not contacts:
@@ -170,7 +174,10 @@ def cmd_cores(args) -> None:
 def _read_core_file(path_text: str):
     fmt = "jsonl" if Path(path_text).suffix == ".jsonl" else "csv"
     with _open_input(path_text, "core file") as handle:
-        return read_cores(handle, fmt)
+        try:
+            return read_cores(handle, fmt)
+        except ValueError as error:  # `purity` reads two files: name this one
+            raise ValueError(f"{handle.name} {str(error).removeprefix('core file ')}") from None
 
 
 def cmd_stats(args) -> None:
@@ -341,6 +348,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # The cyclic collector is paused for the command, then left as the caller had
+    # it. The data path makes no reference cycles; a command's own cyclic garbage
+    # is a fixed few hundred argparse and json objects, so memory cannot grow with input.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         _check_out(args.out)  # before any input is read
         args.func(args)
@@ -348,6 +360,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as error:
         _log(f"error: {error}")
         return 2
+    finally:
+        if collecting:
+            gc.enable()
     return 0
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import os
 import subprocess
@@ -123,6 +124,53 @@ class TestDecompose:
             tracemalloc.stop()
         bench = json.loads((tmp_path / "bench.json").read_text())
         assert 0 < bench["peak_memory_bytes"] < 1_000_000
+
+    def test_the_collector_is_paused_for_the_command_and_left_as_found(
+            self, contact_file, tmp_path, monkeypatch):
+        seen = []
+
+        def engine(graph):
+            seen.append(gc.isenabled())
+            return span_cores(graph)
+
+        monkeypatch.setattr(cli, "span_cores", engine)
+        try:
+            gc.enable()
+            assert run("decompose", "--input", contact_file, "--out", tmp_path / "a") == 0
+            assert seen == [False]
+            assert gc.isenabled()
+            assert run("decompose", "--input", contact_file, "--window", 0,
+                       "--out", tmp_path / "b") == 2
+            assert gc.isenabled()
+            with pytest.raises(SystemExit):  # argparse exits before the pause
+                run("decompose", "--no-such-flag")
+            assert gc.isenabled()
+            gc.disable()  # a caller that paused the collector itself
+            assert run("decompose", "--input", contact_file, "--out", tmp_path / "c") == 0
+            assert run("decompose", "--input", tmp_path / "absent.txt", "--out", tmp_path) == 2
+            assert not gc.isenabled()
+            assert seen == [False, False]
+        finally:
+            gc.enable()
+
+    def test_a_command_leaves_as_much_cyclic_garbage_for_any_input_size(self, tmp_path):
+        """While the collector is paused, only the command's fixed argparse and json
+        cycles pile up; a cycle that grows with the input would show here."""
+        small = tmp_path / "small.txt"
+        small.write_text("a b 0\nb c 0\na c 1\n")
+        large = tmp_path / "large.txt"
+        large.write_text("".join(line + "\n" for line in
+                                 contact_lines(community_temporal_graph(200, 30, communities=4))))
+        gc.collect(0)
+        gc.disable()
+        try:
+            garbage = []
+            for path in (small, large):
+                assert run("decompose", "--input", path, "--out", tmp_path / path.stem) == 0
+                garbage.append(gc.collect(0))
+        finally:
+            gc.enable()
+        assert garbage[0] == garbage[1]
 
     def test_windowing_flags_are_applied(self, tmp_path):
         path = tmp_path / "raw.txt"
@@ -453,7 +501,30 @@ class TestErrorsAndDeterminism:
                         + "[" * 200_000 + "\n")
         assert run("stats", "--cores", path, "--out", tmp_path / "o") == 2
         error = capsys.readouterr().err.strip().splitlines()
-        assert error == ["error: core file line 2: JSON nested too deeply"]
+        assert error == [f"error: {path} line 2: JSON nested too deeply"]
+
+    @pytest.mark.parametrize("command", ["stats", "grid", "purity"])
+    def test_a_faulty_core_file_is_named_with_its_line(self, tmp_path, capsys, command):
+        cores = tmp_path / "c.csv"
+        cores.write_text("k,t_s,t_e,size,members\n1,0,0,3,a;b\n")
+        attrs = tmp_path / "attrs.csv"
+        attrs.write_text("label,dept\na,P\nb,Q\n")
+        extra = {"grid": (), "stats": (),
+                 "purity": ("--attributes", attrs, "--attribute", "dept")}[command]
+        assert run(command, "--cores", cores, *extra, "--out", tmp_path / "o") == 2
+        error = capsys.readouterr().err.strip().splitlines()
+        assert error == [f"error: {cores} line 2: size field 3 disagrees with 2 members"]
+
+    @pytest.mark.parametrize("content, message", [
+        (b"a b 0\nbad line\n", "line 2: expected three fields: 'bad line'"),
+        (b"a b 0\n\xff b 1\n", "'utf-8' codec can't decode byte 0xff in position 6"),
+    ])
+    def test_a_faulty_contact_file_is_named(self, tmp_path, capsys, content, message):
+        path = tmp_path / "x.txt"
+        path.write_bytes(content)
+        assert run("decompose", "--input", path, "--strict", "--out", tmp_path / "o") == 2
+        error = capsys.readouterr().err.strip().splitlines()
+        assert len(error) == 1 and error[0].startswith(f"error: {path} {message}")
 
     def test_core_with_a_members_field_over_the_csv_field_limit_reads_back(self, tmp_path):
         # 12,000 disjoint pairs at one timestamp make one order-1 core of

@@ -71,9 +71,11 @@ class TestCoreDecomposition:
         assert labeling.max_order == 1
 
     def test_matches_fixed_point_oracle(self):
-        # The order vertices are handed in sets the peel order inside a
-        # degree bucket, so each graph goes in as a range, as a shuffled
-        # list, and renamed to non-contiguous ids in a frozenset.
+        # The kernel asks the vertex set only for membership; its adjacency,
+        # and with it the peel order inside a degree bucket, follows the
+        # edge order. So each graph goes in as given, with its edges
+        # shuffled and some turned (v, u), and renamed to non-contiguous ids
+        # in a frozenset.
         rng = random.Random(97)
         order_rng = random.Random(98)
         for _ in range(60):
@@ -83,12 +85,12 @@ class TestCoreDecomposition:
             while core := fixed_point_core(n, edges, k):
                 expected.update(dict.fromkeys(core, k))
                 k += 1
-            shuffled = list(range(n))
+            shuffled = [(v, u) if order_rng.random() < 0.5 else (u, v) for u, v in edges]
             order_rng.shuffle(shuffled)
             ids = order_rng.sample(range(10 * n), n)  # vertex u is renamed ids[u]
             renamed_edges = [(ids[u], ids[v]) for u, v in edges]
             for vertices, graph_edges, name in ((range(n), edges, range(n)),
-                                                (shuffled, edges, range(n)),
+                                                (range(n), shuffled, range(n)),
                                                 (frozenset(ids), renamed_edges, ids)):
                 labeling = core_decomposition(vertices, graph_edges)
                 assert labeling.coreness == {name[u]: c for u, c in expected.items()}
