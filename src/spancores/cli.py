@@ -15,6 +15,7 @@ import os
 import sys
 import tempfile
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
@@ -97,26 +98,32 @@ def _check_out(path_text: str) -> None:
         raise ValueError(f"--out {path}: {existing} is not a directory")
 
 
+@contextmanager
+def _named(path_text: str):
+    """Start every ValueError raised in the block, decode errors too, with the input's path."""
+    try:
+        yield
+    except ValueError as error:
+        raise ValueError(f"{path_text} {error}") from None
+
+
+@contextmanager
 def _open_input(path_text: str, what: str):
-    """Open an input file for reading; its `name` is the path as messages show it."""
+    """Open an input file; every ValueError raised while it is open is `_named`."""
     path = Path(path_text)
     if not path.exists():
         raise ValueError(f"{what} not found: {path}")
-    return path.open(encoding=_READ_ENCODING)
+    with _named(path_text), path.open(encoding=_READ_ENCODING) as handle:
+        yield handle
 
 
 def _load_graph(args: argparse.Namespace):
     check_window(args.window)  # before the input is read
     with _open_input(args.input, "input file") as handle:
-        try:
-            contacts, skipped = parse_contact_lines(handle, strict=args.strict)
-        except ValueError as error:
-            raise ValueError(f"{handle.name} {error}") from None
-    if skipped:
-        _log(f"skipped {skipped} malformed contact line(s)")
-    if not contacts:
-        raise ValueError(f"no contacts in {handle.name}")
-    graph = ingest_contacts(contacts, window=args.window, origin=args.origin)
+        contacts, skipped = parse_contact_lines(handle, strict=args.strict)
+        if skipped:
+            _log(f"skipped {skipped} malformed contact line(s)")
+        graph = ingest_contacts(contacts, window=args.window, origin=args.origin)
     _log(f"ingested {len(contacts)} contacts -> {graph!r}")
     return graph
 
@@ -174,10 +181,7 @@ def cmd_cores(args) -> None:
 def _read_core_file(path_text: str):
     fmt = "jsonl" if Path(path_text).suffix == ".jsonl" else "csv"
     with _open_input(path_text, "core file") as handle:
-        try:
-            return read_cores(handle, fmt)
-        except ValueError as error:  # `purity` reads two files: name this one
-            raise ValueError(f"{handle.name} {str(error).removeprefix('core file ')}") from None
+        return read_cores(handle, fmt)
 
 
 def cmd_stats(args) -> None:
@@ -199,11 +203,8 @@ def cmd_grid(args) -> None:
 
 def cmd_purity(args) -> None:
     with _open_input(args.attributes, "attribute file") as handle:
-        try:
-            table = AttributeTable.from_csv(handle)
-        except ValueError as error:
-            raise ValueError(f"{handle.name} {error}") from None
-    table.check_attribute(args.attribute)  # before the core file is read
+        table = AttributeTable.from_csv(handle)
+        table.check_attribute(args.attribute)  # before the core file is read
     result = _read_core_file(args.cores)
     curve = purity_curve(result, table, args.attribute)
     if curve.skipped_vertices:
@@ -222,15 +223,14 @@ def cmd_shuffle(args) -> None:
 def _read_positives(path_text: str) -> list[int]:
     positives = []
     with _open_input(path_text, "positive-timestamp file") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            text = line.strip()
+        for line_number, text in enumerate(map(str.strip, handle), start=1):
             if not text:
                 continue
             try:
                 positives.append(int(text))
             except ValueError:
-                raise ValueError(f"{handle.name} line {line_number}: expected an integer "
-                                 f"timestamp, got {text!r}") from None
+                raise ValueError(f"line {line_number}: expected an integer timestamp, "
+                                 f"got {text!r}") from None
     return positives
 
 
@@ -239,7 +239,8 @@ def cmd_anomaly(args) -> None:
     positives = None if args.positives is None else _read_positives(args.positives)
     graph = _load_graph(args)
     if positives is not None:
-        check_positive_timestamps(positives, graph.t_max)  # before the engine runs
+        with _named(args.positives):
+            check_positive_timestamps(positives, graph.t_max)  # before the engine runs
     maximal = maximal_span_cores(graph)
     report = detect_anomalies(graph, maximal, tr=args.tr, ratio=args.ratio)
     payload = {

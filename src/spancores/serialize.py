@@ -142,8 +142,7 @@ def _raise_first_fault(lines, orders, starts, ends, sizes, members) -> NoReturn:
         try:
             k, t_s, t_e, size = int(k), int(t_s), int(t_e), int(size)
         except ValueError:
-            raise ValueError(f"core file line {line}: "
-                             "k, t_s, t_e and size must be integers") from None
+            raise ValueError(f"line {line}: k, t_s, t_e and size must be integers") from None
         labels = text.split(MEMBER_SEPARATOR) if text else []
         n = len(labels)
         key = (t_s, t_e, k)
@@ -164,7 +163,7 @@ def _raise_first_fault(lines, orders, starts, ends, sizes, members) -> NoReturn:
         else:
             keys.add(key)
             continue
-        raise ValueError(f"core file line {line}: {problem}")
+        raise ValueError(f"line {line}: {problem}")
     raise AssertionError("a column check failed on records that each pass")
 
 
@@ -225,7 +224,7 @@ def _parsed_csv_columns(text: str) -> tuple[tuple[Sequence, ...], str | None]:
         problem = str(error)
     finally:
         csv.field_size_limit(limit)
-    fault = None if problem is None else f"core file line {reader.line_num}: {problem}"
+    fault = None if problem is None else f"line {reader.line_num}: {problem}"
     return tuple(zip(*records)) or ((),) * 6, fault
 
 
@@ -240,10 +239,10 @@ def _jsonl_columns(stream: TextIO) -> tuple[tuple[Sequence, ...], str | None]:
         try:
             k, t_s, t_e, labels = _jsonl_row(json.loads(line))
         except ValueError as error:
-            fault = f"core file line {line_number}: {error}"
+            fault = f"line {line_number}: {error}"
             break
         except RecursionError:
-            fault = f"core file line {line_number}: JSON nested too deeply"
+            fault = f"line {line_number}: JSON nested too deeply"
             break
         records.append((line_number, k, t_s, t_e, len(labels), MEMBER_SEPARATOR.join(labels)))
     return tuple(zip(*records)) or ((),) * 6, fault

@@ -398,7 +398,7 @@ class TestAnomaly:
                    "--positives", positives, "--out", out) == 2
         error = capsys.readouterr().err.strip().splitlines()
         assert [line for line in error if line.startswith("error")] == [
-            f"error: positive timestamps [-1, 99999] outside 0..{t_max}"]
+            f"error: {positives} positive timestamps [-1, 99999] outside 0..{t_max}"]
         assert not out.exists()
 
 
@@ -433,7 +433,8 @@ class TestErrorsAndDeterminism:
         path.write_text("a;x b 0\nb c 0\nc a;x 0\n")
         assert run("decompose", "--input", path, "--out", tmp_path / "o") == 2
         error = capsys.readouterr().err.strip().splitlines()
-        assert error[-1].startswith("error: vertex label 'a;x'")
+        assert error[-1] == (f"error: {path} vertex label 'a;x' contains ';', "
+                             "which core files and contact lines use as a separator")
         assert not (tmp_path / "o" / "cores.csv").exists()
 
     @pytest.mark.parametrize("line, message", [
@@ -470,7 +471,7 @@ class TestErrorsAndDeterminism:
         path.write_text(contacts)
         assert run("shuffle", "--input", path, "--out", tmp_path / "o") == 2
         error = capsys.readouterr().err.strip().splitlines()
-        assert len(error) == 1 and error[0].startswith(f"error: vertex label {label}")
+        assert len(error) == 1 and error[0].startswith(f"error: {path} vertex label {label} ")
         assert not (tmp_path / "o" / "shuffled.txt").exists()
 
     @pytest.mark.parametrize("row, message", [
@@ -518,6 +519,8 @@ class TestErrorsAndDeterminism:
     @pytest.mark.parametrize("content, message", [
         (b"a b 0\nbad line\n", "line 2: expected three fields: 'bad line'"),
         (b"a b 0\n\xff b 1\n", "'utf-8' codec can't decode byte 0xff in position 6"),
+        (b"a b 0\nb;c d 1\n", "vertex label 'b;c' contains ';', which core files"),
+        (b"# a comment\n\n", "no contacts"),
     ])
     def test_a_faulty_contact_file_is_named(self, tmp_path, capsys, content, message):
         path = tmp_path / "x.txt"
@@ -525,6 +528,28 @@ class TestErrorsAndDeterminism:
         assert run("decompose", "--input", path, "--strict", "--out", tmp_path / "o") == 2
         error = capsys.readouterr().err.strip().splitlines()
         assert len(error) == 1 and error[0].startswith(f"error: {path} {message}")
+
+    def test_a_contact_time_before_the_origin_is_named(self, tmp_path, capsys):
+        path = tmp_path / "c.txt"
+        path.write_text("a b 7\nb c 0\n")
+        assert run("decompose", "--input", path, "--origin", 5, "--out", tmp_path / "o") == 2
+        error = capsys.readouterr().err.strip().splitlines()
+        assert error == [f"error: {path} contact time 0 precedes origin 5"]
+
+    @pytest.mark.parametrize("content, message", [
+        (b"0\n\xff\n", "'utf-8' codec can't decode byte 0xff in position 2: invalid start byte"),
+        (b"0\n9\n", "positive timestamps [9] outside 0..0"),
+    ], ids=["undecodable", "out-of-range"])
+    def test_a_faulty_positives_file_is_named(self, tmp_path, capsys, content, message):
+        contacts = tmp_path / "c.txt"
+        contacts.write_text("a b 0\n")
+        positives = tmp_path / "p.txt"
+        positives.write_bytes(content)
+        assert run("anomaly", "--input", contacts, "--tr", 1, "--positives", positives,
+                   "--out", tmp_path / "o") == 2
+        error = capsys.readouterr().err.strip().splitlines()
+        assert error[-1] == f"error: {positives} {message}"
+        assert not (tmp_path / "o").exists()
 
     def test_core_with_a_members_field_over_the_csv_field_limit_reads_back(self, tmp_path):
         # 12,000 disjoint pairs at one timestamp make one order-1 core of
@@ -552,7 +577,7 @@ class TestErrorsAndDeterminism:
         assert run("purity", "--cores", tmp_path / "absent.csv", "--attributes", attrs,
                    "--attribute", "role", "--out", tmp_path / "o") == 2
         error = capsys.readouterr().err.strip().splitlines()
-        assert len(error) == 1 and error[0].startswith("error: unknown attribute 'role'")
+        assert error == [f"error: {attrs} unknown attribute 'role'; table has ('dept',)"]
 
     @pytest.mark.parametrize("min_span", [0, -3])
     def test_grid_min_span_below_one_exits_2(self, contact_file, tmp_path, capsys, min_span):
@@ -591,6 +616,7 @@ class TestErrorsAndDeterminism:
         ("label,dept\na,P\nb\n", "line 3: attribute row ['b'] does not match header width"),
         ("label,dept\na,P\nb,Q,R\n", "line 3: attribute row ['b', 'Q', 'R'] does not match"),
         ("label,dept\na,P\nb,Q\na,R\n", "line 4: label 'a' is listed twice"),
+        ("label,role\na,P\n", "unknown attribute 'dept'; table has ('role',)"),
     ])
     def test_bad_attribute_row_names_file_and_line(self, contact_file, tmp_path, capsys,
                                                    table, message):

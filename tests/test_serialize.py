@@ -314,7 +314,7 @@ def test_csv_reader_faults_are_named_in_file_order(rows, message):
     text = "k,t_s,t_e,size,members\n1,0,0,2,a;b\n" + "".join(row + "\n" for row in rows)
     with pytest.raises(ValueError, match=message) as error:
         read_cores(io.StringIO(text), "csv")
-    assert str(error.value).startswith("core file " + message)
+    assert str(error.value).startswith(message)
 
 
 VALID_RECORD = (1, 0, 0, 2, ["a", "b"])
@@ -376,7 +376,7 @@ def test_the_first_fault_in_file_order_is_named(records, csv_fault, jsonl_fault,
     line = index + 1 if fmt == "jsonl" else index + 2
     with pytest.raises(ValueError) as error:
         read_cores(io.StringIO(text), fmt)
-    assert str(error.value) == f"core file line {line}: {problem}"
+    assert str(error.value) == f"line {line}: {problem}"
 
 
 @pytest.fixture(scope="module")
