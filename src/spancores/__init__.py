@@ -27,7 +27,6 @@ from .span_cores import (
     span_cores,
 )
 from .temporal_graph import (
-    ContactParseError,
     EdgeDiffSets,
     Interval,
     TemporalGraph,
@@ -43,7 +42,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AnomalyReport",
     "AttributeTable",
-    "ContactParseError",
     "CoreLabeling",
     "DecompositionResult",
     "EdgeDiffSets",

@@ -117,13 +117,17 @@ def _open_input(path_text: str, what: str):
         yield handle
 
 
-def _load_graph(args: argparse.Namespace):
+def _load_graph(args: argparse.Namespace, positives: list[int] | None = None):
+    """Parse and ingest --input, check `positives` against it, and only then log the counts."""
     check_window(args.window)  # before the input is read
     with _open_input(args.input, "input file") as handle:
         contacts, skipped = parse_contact_lines(handle, strict=args.strict)
-        if skipped:
-            _log(f"skipped {skipped} malformed contact line(s)")
         graph = ingest_contacts(contacts, window=args.window, origin=args.origin)
+    if positives is not None:
+        with _named(args.positives):
+            check_positive_timestamps(positives, graph.t_max)  # before the engine runs
+    if skipped:
+        _log(f"skipped {skipped} malformed contact line(s)")
     _log(f"ingested {len(contacts)} contacts -> {graph!r}")
     return graph
 
@@ -237,10 +241,7 @@ def _read_positives(path_text: str) -> list[int]:
 def cmd_anomaly(args) -> None:
     check_anomaly_thresholds(args.tr, args.ratio)  # before the input is read
     positives = None if args.positives is None else _read_positives(args.positives)
-    graph = _load_graph(args)
-    if positives is not None:
-        with _named(args.positives):
-            check_positive_timestamps(positives, graph.t_max)  # before the engine runs
+    graph = _load_graph(args, positives)
     maximal = maximal_span_cores(graph)
     report = detect_anomalies(graph, maximal, tr=args.tr, ratio=args.ratio)
     payload = {

@@ -213,7 +213,7 @@ def _parsed_csv_columns(text: str) -> tuple[tuple[Sequence, ...], str | None]:
     try:
         header = next(reader, None)
         if header != CORE_CSV_HEADER:
-            raise ValueError(f"unexpected core CSV header: {header!r}")
+            raise ValueError(f"line 1: unexpected core CSV header: {header!r}")
         for row in reader:
             if len(row) == len(CORE_CSV_HEADER):
                 records.append((reader.line_num, *row))

@@ -35,16 +35,6 @@ _FIELD_BYTES = bytes(sorted(set(range(256)) - set(_SEPARATOR_BYTES)))
 _CHUNK_CHARS = 1 << 16
 
 
-class ContactParseError(ValueError):
-    """A contact line that cannot be parsed, with its 1-based line number."""
-
-    def __init__(self, line_number: int, line: str, reason: str):
-        super().__init__(f"line {line_number}: {reason}: {line!r}")
-        self.line_number = line_number
-        self.line = line
-        self.reason = reason
-
-
 class Interval:
     """Inclusive timestamp range [start, end].
 
@@ -198,14 +188,12 @@ class TemporalGraph:
                 f"contacts={self.contact_count()})")
 
 
-class ContactColumns(Sequence):
+class ContactColumns:
     """Read-only contacts held as a label column and a time column.
 
-    `labels` interleaves the endpoints (u0, v0, u1, v1, ...) and `times`
-    holds the raw times, so contact i is (labels[2i], labels[2i+1],
-    times[i]). parse_contact_lines returns canonical contact text in this
-    form, which spares a tuple per line; ingest_contacts reads the columns
-    directly.
+    `labels` interleaves the endpoints (u0, v0, u1, v1, ...) and `times` holds
+    the raw times, so contact i is (labels[2i], labels[2i+1], times[i]).
+    parse_contact_lines returns this form; ingest_contacts reads it directly.
     """
 
     __slots__ = ("labels", "times")
@@ -217,43 +205,34 @@ class ContactColumns(Sequence):
     def __len__(self) -> int:
         return len(self.times)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(self)[index]
-        raw_time = self.times[index]  # raises IndexError first
-        return self.labels[2 * index], self.labels[2 * index + 1], raw_time
-
     def __iter__(self) -> Iterator[Contact]:
         ends = iter(self.labels)
         return zip(ends, ends, self.times)
 
 
 def parse_contact_lines(lines: Iterable[str] | TextIO,
-                        strict: bool = True) -> tuple[Sequence[Contact], int]:
-    """Parse text lines into (label, label, raw_time) contact triples.
+                        strict: bool = True) -> tuple[ContactColumns, int]:
+    """Parse text lines into (label, label, raw_time) contacts.
 
     A contact line is "u v t" with whitespace- or comma-separated fields and a
     non-negative integer time. Lines starting with '#' and blank lines are
-    skipped. Malformed lines raise ContactParseError in strict mode and are
-    counted (second return value) otherwise.
+    skipped. A malformed line raises ValueError("line N: reason: 'line'") in
+    strict mode and is counted (second return value) otherwise.
 
-    A text stream is read whole. Canonical text, ASCII lines of exactly
-    "label label digits" with single spaces, each ending in '\n', comes back
-    as ContactColumns. Any other text is parsed line by line, like a list of
-    its lines ending at '\n' (as a stream opened with the default newline
-    handling yields them), with the same contacts, errors and skip count.
+    A text stream is read whole and walked in chunks of whole lines. A
+    canonical chunk, ASCII lines of exactly "label label digits" with single
+    spaces, each ending in '\n', is split whole. Any other chunk is parsed
+    line by line, as the lines ending at '\n' that a stream opened with the
+    default newline handling yields, with line numbers counting every chunk.
     """
-    if isinstance(lines, io.TextIOBase):
-        text = lines.read()
-        columns = _canonical_columns(text)
-        if columns is not None:
-            return columns, 0
-        lines = (line for chunk in _chunks(text)
-                 for line in chunk.removesuffix("\n").split("\n"))
-    contacts: list[Contact] = []
-    append = contacts.append
+    labels: list[str] = []
+    times: list[int] = []
+    stream = isinstance(lines, io.TextIOBase)
+    numbered = _unsplit_lines(lines.read(), labels, times) if stream else enumerate(lines, start=1)
+    add_labels = labels.extend
+    add_time = times.append
     skipped = 0
-    for line_number, raw in enumerate(lines, start=1):
+    for line_number, raw in numbered:
         if "," in raw:
             parts = [p.strip() for p in raw.split(",")]
         else:
@@ -271,7 +250,8 @@ def parse_contact_lines(lines: Iterable[str] | TextIO,
                     reason = "time is not an integer"
                 else:
                     if raw_time >= 0:
-                        append((u, v, raw_time))
+                        add_labels((u, v))
+                        add_time(raw_time)
                         continue
                     reason = "negative time"
             else:
@@ -279,49 +259,58 @@ def parse_contact_lines(lines: Iterable[str] | TextIO,
         else:
             reason = "expected three fields"
         if strict:
-            raise ContactParseError(line_number, raw.strip(), reason)
+            raise ValueError(f"line {line_number}: {reason}: {raw.strip()!r}")
         skipped += 1
-    return contacts, skipped
+    return ContactColumns(labels, times), skipped
 
 
-def _canonical_columns(text: str) -> ContactColumns | None:
-    """The contacts of canonical text, or None for any other text.
+def _unsplit_lines(text: str, labels: list[str], times: list[int]) -> Iterator[tuple[int, str]]:
+    """Yield the numbered lines of each chunk of `text` that is not canonical.
 
-    Every line of canonical text is a contact the line parser accepts, so
-    the text is split in chunks of whole lines, with no per-line step. Only
-    one chunk's field strings exist at a time: each distinct label keeps
-    one string object and each distinct time string is converted once.
+    The walk splits a canonical chunk onto the columns when it reaches it, in file order.
     """
-    if not (text.isascii() and text.endswith("\n")):
-        return None
-    separators = text.encode("ascii").translate(None, _FIELD_BYTES)
+    line_number = 1
+    shared_labels: dict[str, str] = {}
+    for chunk in _chunks(text):
+        line_count = _split_canonical(chunk, labels, times, shared_labels)
+        if not line_count:
+            chunk_lines = chunk.removesuffix("\n").split("\n")
+            yield from enumerate(chunk_lines, start=line_number)
+            line_count = len(chunk_lines)
+        line_number += line_count
+
+
+def _split_canonical(chunk: str, labels: list[str], times: list[int],
+                     shared_labels: dict[str, str]) -> int:
+    """Append a canonical chunk's contacts to the columns and return its line count, else 0.
+
+    Every line of a canonical chunk is a contact the line parser accepts, so
+    the chunk is split whole. Each distinct label keeps one string object
+    across chunks, and each distinct time string is converted once.
+    """
+    if not (chunk.isascii() and chunk.endswith("\n")):
+        return 0
+    separators = chunk.encode("ascii").translate(None, _FIELD_BYTES)
     line_count = len(separators) // 3
     if separators != b"  \n" * line_count:
-        return None
-    labels: list[str] = []
-    times: list[int] = []
-    shared_labels: dict[str, str] = {}
-    raw_times: dict[str, int] = {}
-    field_count = 0
-    for chunk in _chunks(text):
-        fields = chunk.split()
-        field_count += len(fields)
-        time_fields = fields[2::3]
-        distinct = dict.fromkeys(time_fields)
-        if not "".join(distinct).isdigit():
-            return None
-        try:
-            raw_times.update({field: int(field) for field in distinct if field not in raw_times})
-        except ValueError:  # more digits than int() converts
-            return None
-        times += map(raw_times.__getitem__, time_fields)
-        del fields[2::3]
-        labels += map(shared_labels.setdefault, fields, fields)
+        return 0
+    fields = chunk.split()
     # Each line has two spaces, so fewer than three fields on a line means
     # an empty field: a leading, doubled or trailing space.
-    if field_count != 3 * line_count:
-        return None
-    return ContactColumns(labels, times)
+    if len(fields) != 3 * line_count:
+        return 0
+    time_fields = fields[2::3]
+    distinct = dict.fromkeys(time_fields)
+    if not "".join(distinct).isdigit():
+        return 0
+    try:
+        raw_times = {field: int(field) for field in distinct}
+    except ValueError:  # more digits than int() converts
+        return 0
+    times.extend(map(raw_times.__getitem__, time_fields))
+    del fields[2::3]
+    labels.extend(map(shared_labels.setdefault, fields, fields))
+    return line_count
 
 
 def _chunks(text: str) -> Iterator[str]:

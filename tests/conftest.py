@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 
 from spancores import (
     AnomalyReport,
-    ContactParseError,
     Interval,
     MaximalTrace,
     TemporalGraph,
@@ -343,7 +342,7 @@ def reference_parse_contact_lines(lines, strict: bool = True):
                     reason = "negative time"
         if reason is not None:
             if strict:
-                raise ContactParseError(line_number, line, reason)
+                raise ValueError(f"line {line_number}: {reason}: {line!r}")
             skipped += 1
             continue
         contacts.append((parts[0], parts[1], raw_time))

@@ -428,6 +428,37 @@ class TestErrorsAndDeterminism:
         path.write_text("a b 0\nbroken\n")
         assert run("decompose", "--input", path, "--out", tmp_path / "o") == 0
 
+    def test_lenient_mode_logs_skips_then_ingest_on_success(self, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text("a b 0\nbroken\nb c 1\n")
+        assert run("decompose", "--input", path, "--out", tmp_path / "o") == 0
+        assert capsys.readouterr().err.splitlines()[:2] == [
+            "skipped 1 malformed contact line(s)",
+            "ingested 2 contacts -> TemporalGraph(|V|=3, t_max=1, contacts=2)"]
+
+    @pytest.mark.parametrize("contacts, positives, faulty, message", [
+        ("a b 0\nbroken\nb; c 1\n", None, "contacts",
+         "vertex label 'b;' contains ';', which core files and contact lines use as a separator"),
+        ("a b 0\nb c 1\n", "9\n", "positives", "positive timestamps [9] outside 0..1"),
+    ], ids=["lenient-skip-then-ingest-fault", "positives-out-of-range-after-ingest"])
+    def test_an_input_error_is_the_only_line_on_stderr(self, tmp_path, capsys,
+                                                       contacts, positives, faulty, message):
+        paths = {"contacts": tmp_path / "c.txt", "positives": tmp_path / "p.txt"}
+        paths["contacts"].write_text(contacts)
+        argv = ["decompose"]
+        if positives is not None:
+            paths["positives"].write_text(positives)
+            argv = ["anomaly", "--tr", 1, "--positives", paths["positives"]]
+        assert run(*argv, "--input", paths["contacts"], "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {paths[faulty]} {message}"]
+
+    def test_a_bad_core_csv_header_is_named_with_its_line(self, tmp_path, capsys):
+        path = tmp_path / "h.csv"
+        path.write_text("k,t_s\n1,0\n")
+        assert run("stats", "--cores", path, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {path} line 1: unexpected core CSV header: ['k', 't_s']"]
+
     def test_label_holding_the_member_separator_is_rejected(self, tmp_path, capsys):
         path = tmp_path / "semicolon.txt"
         path.write_text("a;x b 0\nb c 0\nc a;x 0\n")
