@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Every subcommand checks its parameters and side inputs before its main input
-and writes its artifacts atomically into the output directory. After it
-succeeds, `main` drops a run-manifest.json echoing the configuration so a run
-can be repeated exactly. All randomness flows from --seed.
+Every subcommand checks its parameters and side inputs before its main input,
+then returns its artifacts (file name -> text, in write order) and its stderr
+notes. `main` alone writes: the artifacts atomically into the output directory,
+then a run-manifest.json echoing the configuration so a run can be repeated
+exactly, then the notes. All randomness flows from --seed.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import gc
 import json
 import os
 import sys
-import tempfile
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -56,27 +56,20 @@ def _log(message: str) -> None:
 
 
 def _write_atomic(path: Path, content: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    # The kernel applies the umask, as for a plain open; O_EXCL refuses an existing
+    # path or symlink, which this call then leaves alone.
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(content)
-        # mkstemp creates the file 0600; give it the mode a plain open would.
-        os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
 
 
-def _umask() -> int:
-    mask = os.umask(0)
-    os.umask(mask)
-    return mask
-
-
-def _write_manifest(args: argparse.Namespace) -> None:
+def _manifest(args: argparse.Namespace) -> str:
     config = {
         key: value for key, value in sorted(vars(args).items())
         if key not in ("func", "command")
@@ -87,7 +80,7 @@ def _write_manifest(args: argparse.Namespace) -> None:
         "command": args.command,
         "config": config,
     }
-    _write_atomic(Path(args.out) / "run-manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    return json.dumps(manifest, indent=2, sort_keys=True) + "\n"
 
 
 def _check_out(path_text: str) -> None:
@@ -118,7 +111,7 @@ def _open_input(path_text: str, what: str):
 
 
 def _load_graph(args: argparse.Namespace, positives: list[int] | None = None):
-    """Parse and ingest --input, check `positives` against it, and only then log the counts."""
+    """Parse and ingest --input and check `positives` against it; return the graph and notes."""
     check_window(args.window)  # before the input is read
     with _open_input(args.input, "input file") as handle:
         contacts, skipped = parse_contact_lines(handle, strict=args.strict)
@@ -126,10 +119,9 @@ def _load_graph(args: argparse.Namespace, positives: list[int] | None = None):
     if positives is not None:
         with _named(args.positives):
             check_positive_timestamps(positives, graph.t_max)  # before the engine runs
-    if skipped:
-        _log(f"skipped {skipped} malformed contact line(s)")
-    _log(f"ingested {len(contacts)} contacts -> {graph!r}")
-    return graph
+    notes = [f"skipped {skipped} malformed contact line(s)"] if skipped else []
+    notes.append(f"ingested {len(contacts)} contacts -> {graph!r}")
+    return graph, notes
 
 
 def _run_engine(engine, graph, bench: bool):
@@ -162,24 +154,21 @@ def _run_engine(engine, graph, bench: bool):
     return result, seconds, bench_payload
 
 
-def cmd_cores(args) -> None:
+def cmd_cores(args):
     """Run `decompose` or `maximal`: the chosen engine, then its core file and metrics."""
-    graph = _load_graph(args)
+    graph, notes = _load_graph(args)
     # Looked up on every call, so that a wrapped engine is the one that runs.
     engine = {"pruned": span_cores, "naive": naive_span_cores,
               "direct": maximal_span_cores, "filter": naive_maximal_span_cores}[args.engine]
     result, seconds, bench_payload = _run_engine(engine, graph, args.bench)
     maximal = args.command == "maximal"
-    stem = "maximal" if maximal else "cores"
-    out_dir = Path(args.out)
-    if args.format == "csv":
-        _write_atomic(out_dir / f"{stem}.csv", cores_to_csv(result))
-    else:
-        _write_atomic(out_dir / f"{stem}.jsonl", cores_to_jsonl(result, maximal=maximal))
-    _write_atomic(out_dir / "metrics.json", metrics_to_json(result.metrics, seconds))
+    name = f"{'maximal' if maximal else 'cores'}.{args.format}"
+    artifacts = {name: cores_to_csv(result) if args.format == "csv"
+                 else cores_to_jsonl(result, maximal=maximal),
+                 "metrics.json": metrics_to_json(result.metrics, seconds)}
     if bench_payload is not None:
-        _write_atomic(out_dir / "bench.json", json.dumps(bench_payload, indent=2) + "\n")
-    _log(f"wrote {stem}.{args.format} ({len(result.cores)} records)")
+        artifacts["bench.json"] = json.dumps(bench_payload, indent=2) + "\n"
+    return artifacts, [*notes, f"wrote {name} ({len(result.cores)} records)"]
 
 
 def _read_core_file(path_text: str):
@@ -188,40 +177,38 @@ def _read_core_file(path_text: str):
         return read_cores(handle, fmt)
 
 
-def cmd_stats(args) -> None:
+def cmd_stats(args):
     result = _read_core_file(args.cores)
-    out_dir = Path(args.out)
-    _write_atomic(out_dir / "stats_by_order.csv",
-                  table_to_csv(["k", "count", "mean_size"], stats_by_order(result)))
-    _write_atomic(out_dir / "stats_by_span.csv",
-                  table_to_csv(["span", "count", "mean_size"], stats_by_span(result)))
-    _log(f"wrote stats for {len(result.cores)} cores")
+    return {
+        "stats_by_order.csv": table_to_csv(["k", "count", "mean_size"], stats_by_order(result)),
+        "stats_by_span.csv": table_to_csv(["span", "count", "mean_size"], stats_by_span(result)),
+    }, [f"wrote stats for {len(result.cores)} cores"]
 
 
-def cmd_grid(args) -> None:
+def cmd_grid(args):
     check_min_span(args.min_span)  # before the core file is read
     grid = activity_grid(_read_core_file(args.cores), min_span=args.min_span)
     rows = [(t_s, width, grid[(t_s, width)]) for t_s, width in sorted(grid)]
-    _write_atomic(Path(args.out) / "grid.csv", table_to_csv(["t_s", "span", "k"], rows))
+    return {"grid.csv": table_to_csv(["t_s", "span", "k"], rows)}, []
 
 
-def cmd_purity(args) -> None:
+def cmd_purity(args):
     with _open_input(args.attributes, "attribute file") as handle:
         table = AttributeTable.from_csv(handle)
         table.check_attribute(args.attribute)  # before the core file is read
     result = _read_core_file(args.cores)
     curve = purity_curve(result, table, args.attribute)
-    if curve.skipped_vertices:
-        _log(f"skipped {curve.skipped_vertices} member(s) without a value")
     rows = sorted(curve.by_timestamp.items())
-    _write_atomic(Path(args.out) / "purity.csv", table_to_csv(["t", "purity"], rows))
+    notes = ([f"skipped {curve.skipped_vertices} member(s) without a value"]
+             if curve.skipped_vertices else [])
+    return {"purity.csv": table_to_csv(["t", "purity"], rows)}, notes
 
 
-def cmd_shuffle(args) -> None:
-    graph = _load_graph(args)
+def cmd_shuffle(args):
+    graph, notes = _load_graph(args)
     shuffled = reshuffle_timestamps(graph, seed=args.seed)
-    _write_atomic(Path(args.out) / "shuffled.txt", "".join(line + "\n" for line in contact_lines(shuffled)))
-    _log(f"reshuffled {shuffled.contact_count()} contacts with seed {args.seed}")
+    return {"shuffled.txt": "".join(line + "\n" for line in contact_lines(shuffled))}, [
+        *notes, f"reshuffled {shuffled.contact_count()} contacts with seed {args.seed}"]
 
 
 def _read_positives(path_text: str) -> list[int]:
@@ -238,10 +225,10 @@ def _read_positives(path_text: str) -> list[int]:
     return positives
 
 
-def cmd_anomaly(args) -> None:
+def cmd_anomaly(args):
     check_anomaly_thresholds(args.tr, args.ratio)  # before the input is read
     positives = None if args.positives is None else _read_positives(args.positives)
-    graph = _load_graph(args, positives)
+    graph, notes = _load_graph(args, positives)
     maximal = maximal_span_cores(graph)
     report = detect_anomalies(graph, maximal, tr=args.tr, ratio=args.ratio)
     payload = {
@@ -260,12 +247,11 @@ def cmd_anomaly(args) -> None:
         precision, recall = precision_recall(graph, report, positives)
         payload["precision"] = precision
         payload["recall"] = recall
-    out_dir = Path(args.out)
-    _write_atomic(out_dir / "anomaly-report.json", json.dumps(payload, indent=2) + "\n")
-    _write_atomic(out_dir / "cleaned-contacts.txt",
-                  "".join(line + "\n" for line in contact_lines(report.surviving)))
-    _log(f"flagged {len(report.anomalous_intervals)} interval(s), "
-         f"dropped {len(report.dropped_timestamps)} timestamp(s)")
+    return {
+        "anomaly-report.json": json.dumps(payload, indent=2) + "\n",
+        "cleaned-contacts.txt": "".join(line + "\n" for line in contact_lines(report.surviving)),
+    }, [*notes, f"flagged {len(report.anomalous_intervals)} interval(s), "
+                f"dropped {len(report.dropped_timestamps)} timestamp(s)"]
 
 
 def _add_ingest_flags(parser: argparse.ArgumentParser) -> None:
@@ -357,8 +343,18 @@ def main(argv=None) -> int:
     gc.disable()
     try:
         _check_out(args.out)  # before any input is read
-        args.func(args)
-        _write_manifest(args)
+        artifacts, notes = args.func(args)
+        artifacts["run-manifest.json"] = _manifest(args)  # last, so it marks a whole run
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in artifacts.items():
+            path = out / name
+            try:
+                _write_atomic(path, text)
+            except OSError as error:  # name the artifact, not its temp file
+                raise OSError(f"{path} {error.strerror or error}") from None
+        for note in notes:
+            _log(note)
     except (ValueError, OSError) as error:
         _log(f"error: {error}")
         return 2

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import errno
 import gc
 import json
 import os
@@ -43,6 +44,25 @@ def contact_file(tmp_path):
 
 def run(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+def command_argv(command, contact_file, tmp_path) -> list:
+    """Arguments, all but --out, that run `command` on `contact_file`; side inputs and
+    core files are made here, and the run that makes a core file leaves notes on stderr."""
+    if command in ("decompose", "maximal", "shuffle"):
+        return [command, "--input", contact_file]
+    if command == "anomaly":
+        positives = tmp_path / "positives.txt"
+        positives.write_text("1\n")
+        return [command, "--input", contact_file, "--tr", 1, "--positives", positives]
+    cores = tmp_path / "cores"
+    assert run("maximal" if command == "purity" else "decompose",
+               "--input", contact_file, "--out", cores) == 0
+    if command != "purity":
+        return [command, "--cores", cores / "cores.csv"]
+    attrs = tmp_path / "attrs.csv"
+    attrs.write_text("label,dept\na,P\nb,Q\n")  # c and d have no value
+    return [command, "--cores", cores / "maximal.csv", "--attributes", attrs, "--attribute", "dept"]
 
 
 class TestDecompose:
@@ -452,6 +472,41 @@ class TestErrorsAndDeterminism:
         assert run(*argv, "--input", paths["contacts"], "--out", tmp_path / "o") == 2
         assert capsys.readouterr().err.splitlines() == [f"error: {paths[faulty]} {message}"]
 
+    @pytest.mark.parametrize("command, name", [
+        ("decompose", "cores.csv"),
+        ("purity", "purity.csv"),  # a run with a skipped-members note
+        ("anomaly", "cleaned-contacts.txt"),  # its report is written first
+    ])
+    def test_an_artifact_write_error_is_the_only_line_on_stderr(self, contact_file, tmp_path,
+                                                               capsys, command, name):
+        argv = command_argv(command, contact_file, tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "o"
+        (out / name).mkdir(parents=True)
+        assert run(*argv, "--out", out) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {out}/{name} {os.strerror(errno.EISDIR)}"]
+        assert not list(out.glob("*.tmp"))
+        assert not (out / "run-manifest.json").exists()
+
+    @pytest.mark.parametrize("command, notes", [
+        ("decompose", ["wrote cores.csv (9 records)"]),
+        ("maximal", ["wrote maximal.csv (2 records)"]),
+        ("stats", ["wrote stats for 9 cores"]),
+        ("grid", []),
+        ("purity", ["skipped 1 member(s) without a value"]),
+        ("shuffle", ["reshuffled 8 contacts with seed 0"]),
+        ("anomaly", ["flagged 2 interval(s), dropped 0 timestamp(s)"]),
+    ])
+    def test_every_command_prints_its_notes_in_order_on_success(self, contact_file, tmp_path,
+                                                                capsys, command, notes):
+        argv = command_argv(command, contact_file, tmp_path)
+        capsys.readouterr()
+        assert run(*argv, "--out", tmp_path / "o") == 0
+        if "--input" in argv:
+            notes = ["ingested 8 contacts -> TemporalGraph(|V|=4, t_max=2, contacts=8)", *notes]
+        assert capsys.readouterr().err.splitlines() == notes
+
     def test_a_bad_core_csv_header_is_named_with_its_line(self, tmp_path, capsys):
         path = tmp_path / "h.csv"
         path.write_text("k,t_s\n1,0\n")
@@ -693,6 +748,23 @@ class TestErrorsAndDeterminism:
             os.umask(previous)
         for name in ("cores.csv", "metrics.json", "run-manifest.json"):
             assert (tmp_path / "o" / name).stat().st_mode & 0o777 == mode
+
+    def test_artifacts_are_written_without_touching_the_umask(self, contact_file, tmp_path,
+                                                              monkeypatch):
+        """Setting the umask, even for a moment, would change the mode of a file
+        that another thread of the caller creates meanwhile."""
+        def umask(mask):
+            raise AssertionError("the umask was set")
+
+        previous = os.umask(0o022)
+        try:
+            monkeypatch.setattr(os, "umask", umask)
+            assert run("decompose", "--input", contact_file, "--out", tmp_path / "o") == 0
+        finally:
+            monkeypatch.undo()
+            os.umask(previous)
+        for name in ("cores.csv", "metrics.json", "run-manifest.json"):
+            assert (tmp_path / "o" / name).stat().st_mode & 0o777 == 0o644
 
     def test_files_are_utf8_whatever_the_locale(self, tmp_path):
         path = tmp_path / "accented.txt"
