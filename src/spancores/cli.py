@@ -2,9 +2,9 @@
 
 Every subcommand checks its parameters and side inputs before its main input,
 then returns its artifacts (file name -> text, in write order) and its stderr
-notes. `main` alone writes: the artifacts atomically into the output directory,
-then a run-manifest.json echoing the configuration so a run can be repeated
-exactly, then the notes. All randomness flows from --seed.
+notes. `main` alone writes: it removes an earlier run's manifest, writes the
+artifacts atomically into --out, then a run-manifest.json with the configuration
+that repeats the run exactly, then the notes. All randomness flows from --seed.
 """
 
 from __future__ import annotations
@@ -51,14 +51,10 @@ DEFAULT_SEED = 0
 _READ_ENCODING = "utf-8-sig"
 
 
-def _log(message: str) -> None:
-    print(message, file=sys.stderr)
-
-
 def _write_atomic(path: Path, content: str) -> None:
-    # The kernel applies the umask, as for a plain open; O_EXCL refuses an existing
-    # path or symlink, which this call then leaves alone.
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    # A random name, so that a killed run's leftover blocks no later write. O_EXCL
+    # refuses an existing path or symlink and leaves it alone; the umask applies.
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
@@ -347,16 +343,18 @@ def main(argv=None) -> int:
         artifacts["run-manifest.json"] = _manifest(args)  # last, so it marks a whole run
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        for name, text in artifacts.items():
-            path = out / name
-            try:
+        path = out / "run-manifest.json"
+        try:
+            path.unlink(missing_ok=True)  # so no earlier run's manifest stands beside new artifacts
+            for name, text in artifacts.items():
+                path = out / name
                 _write_atomic(path, text)
-            except OSError as error:  # name the artifact, not its temp file
-                raise OSError(f"{path} {error.strerror or error}") from None
+        except OSError as error:  # name the artifact, not its temp file
+            raise OSError(f"{path} {error.strerror or error}") from None
         for note in notes:
-            _log(note)
+            print(note, file=sys.stderr)
     except (ValueError, OSError) as error:
-        _log(f"error: {error}")
+        print(f"error: {error}", file=sys.stderr)
         return 2
     finally:
         if collecting:

@@ -14,7 +14,7 @@ from collections import defaultdict
 from typing import NamedTuple
 
 from .core_kernel import core_decomposition
-from .temporal_graph import Edge, Interval, TemporalGraph, edges_in_interval
+from .temporal_graph import Edge, Interval, TemporalGraph, _edge_walk, edges_in_interval
 
 
 class SpanCore:
@@ -114,12 +114,7 @@ def naive_span_cores(g: TemporalGraph) -> DecompositionResult:
     cores: list[SpanCore] = []
     everyone = range(g.vertex_count)
     for t_s in g.nonempty_times:
-        edges = set(g.edges_at(t_s))
-        for t_e in range(t_s, g.t_max + 1):
-            if t_e > t_s:
-                edges &= g.edges_at(t_e)
-            if not edges:
-                break  # interval edge sets only shrink as the interval grows
+        for t_e, edges in _edge_walk(g, t_s):
             labeling = core_decomposition(everyone, edges)
             processed_vertices += g.vertex_count
             _emit_cores(labeling, Interval(t_s, t_e), cores)

@@ -398,16 +398,28 @@ def _check_label(label: str) -> None:
                          "which marks a comment line in a contact file")
 
 
+def _edge_walk(g: TemporalGraph, start: int) -> Iterator[tuple[int, frozenset[Edge]]]:
+    """Yield (t_e, edges of [start, t_e]) for t_e = start, start+1, ... until none is left.
+
+    The one loop that intersects the graph's per-timestamp edge sets.
+    """
+    edges = g.edges_at(start)
+    for t_e in range(start, g.t_max + 1):
+        if t_e > start:
+            edges = edges & g.edges_at(t_e)
+        if not edges:
+            return  # an interval's edge set only shrinks as its end moves later
+        yield t_e, edges
+
+
 def edges_in_interval(g: TemporalGraph, interval: Interval) -> frozenset[Edge]:
     """Edges present at every timestamp of the interval."""
     if interval.end > g.t_max:
         raise ValueError(f"interval {interval} exceeds t_max={g.t_max}")
-    edges = g.edges_at(interval.start)
-    for t in range(interval.start + 1, interval.end + 1):
-        if not edges:
-            break
-        edges = edges & g.edges_at(t)
-    return frozenset(edges)
+    for t_e, edges in _edge_walk(g, interval.start):
+        if t_e == interval.end:
+            return edges
+    return _NO_EDGES
 
 
 def edge_diff_sets(g: TemporalGraph, start: int) -> EdgeDiffSets | None:
@@ -419,19 +431,13 @@ def edge_diff_sets(g: TemporalGraph, start: int) -> EdgeDiffSets | None:
     edges. Total storage is bounded by |E_start|: the diff sets and the
     surviving set partition it.
     """
-    running = g.edges_at(start)
-    if not running:
-        return None
     removed: list[frozenset[Edge]] = []
-    t = start
-    while t < g.t_max:
-        kept = running & g.edges_at(t + 1)
-        if not kept:
-            break
-        removed.append(frozenset(running - kept))
+    running = None
+    for t_star, kept in _edge_walk(g, start):
+        if running is not None:
+            removed.append(running - kept)
         running = kept
-        t += 1
-    return EdgeDiffSets(t, tuple(removed), running)
+    return None if running is None else EdgeDiffSets(t_star, tuple(removed), running)
 
 
 def contact_lines(g: TemporalGraph) -> Iterator[str]:

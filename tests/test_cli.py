@@ -472,16 +472,24 @@ class TestErrorsAndDeterminism:
         assert run(*argv, "--input", paths["contacts"], "--out", tmp_path / "o") == 2
         assert capsys.readouterr().err.splitlines() == [f"error: {paths[faulty]} {message}"]
 
-    @pytest.mark.parametrize("command, name", [
-        ("decompose", "cores.csv"),
-        ("purity", "purity.csv"),  # a run with a skipped-members note
-        ("anomaly", "cleaned-contacts.txt"),  # its report is written first
-    ])
+    @pytest.mark.parametrize("command, name, rerun", [
+        ("decompose", "cores.csv", False),
+        ("purity", "purity.csv", False),  # a run with a skipped-members note
+        ("anomaly", "cleaned-contacts.txt", False),  # its report is written first
+        # A naive re-run over a whole pruned run: cores.csv is rewritten, so the
+        # pruned run's manifest must not stay beside it.
+        ("decompose", "metrics.json", True),
+    ], ids=["decompose-cores.csv", "purity-purity.csv", "anomaly-cleaned-contacts.txt",
+            "rerun-over-a-whole-run"])
     def test_an_artifact_write_error_is_the_only_line_on_stderr(self, contact_file, tmp_path,
-                                                               capsys, command, name):
+                                                               capsys, command, name, rerun):
         argv = command_argv(command, contact_file, tmp_path)
-        capsys.readouterr()
         out = tmp_path / "o"
+        if rerun:
+            assert run(*argv, "--out", out) == 0
+            (out / name).unlink()
+            argv += ["--engine", "naive"]
+        capsys.readouterr()
         (out / name).mkdir(parents=True)
         assert run(*argv, "--out", out) == 2
         assert capsys.readouterr().err.splitlines() == [
@@ -748,6 +756,34 @@ class TestErrorsAndDeterminism:
             os.umask(previous)
         for name in ("cores.csv", "metrics.json", "run-manifest.json"):
             assert (tmp_path / "o" / name).stat().st_mode & 0o777 == mode
+
+    @pytest.mark.parametrize("leftover", ["file", "symlink"])
+    def test_a_leftover_temp_file_blocks_no_write_and_is_left_alone(self, contact_file,
+                                                                    tmp_path, leftover):
+        """A killed run leaves its temp files behind, and a later run may get its PID."""
+        assert run("decompose", "--input", contact_file, "--out", tmp_path / "ref") == 0
+        out, target = tmp_path / "o", tmp_path / "target.txt"
+        out.mkdir()
+        target.write_text("not an artifact\n")
+        names = ("cores.csv", "metrics.json", "run-manifest.json")
+        for name in names:
+            stale = out / f"{name}.{os.getpid()}.tmp"
+            if leftover == "file":
+                stale.write_text("left by a killed run\n")
+            else:
+                stale.symlink_to(target)
+        assert run("decompose", "--input", contact_file, "--out", out) == 0
+        for name in names:
+            stale = out / f"{name}.{os.getpid()}.tmp"
+            if leftover == "file":
+                assert stale.read_text() == "left by a killed run\n"
+            else:
+                assert stale.is_symlink() and stale.resolve() == target.resolve()
+            if name != "metrics.json":  # its elapsed_ms varies between runs
+                assert (out / name).read_text() == (tmp_path / "ref" / name).read_text().replace(
+                    str(tmp_path / "ref"), str(out))
+        assert target.read_text() == "not an artifact\n"
+        assert json.loads((out / "metrics.json").read_text())["cores"] == 9
 
     def test_artifacts_are_written_without_touching_the_umask(self, contact_file, tmp_path,
                                                               monkeypatch):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import importlib
 import random
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -43,6 +44,16 @@ G_EX_CORES = {
 class TestFixture:
     def test_fixture_matches_oracle(self, g_ex):
         assert oracle_span_cores(g_ex) == G_EX_CORES
+
+    def test_the_readme_quick_start_runs(self, capsys):
+        """The README's library example, on the g_ex contacts, runs against the current API."""
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        section = readme.read_text(encoding="utf-8").split("## Library quick start\n", 1)[1]
+        code = section.split("```python\n", 1)[1].split("```", 1)[0]
+        exec(compile(code, str(readme), "exec"), {})
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(G_EX_CORES) + 1
+        assert lines[-1] == "9 cores, 2 maximal"
 
     def test_naive_engine(self, g_ex):
         result = naive_span_cores(g_ex)

@@ -22,12 +22,20 @@ from spancores import temporal_graph
 from .conftest import (
     canonical_dump,
     contains,
+    gappy_temporal_graphs,
     interval_edges,
     random_temporal_graph,
     reference_ingest_contacts,
     reference_parse_contact_lines,
+    sticky_temporal_graphs,
     writable_label,
 )
+
+# Dense random graphs, and graphs on sparse time, where interval edge walks
+# stop at runs of empty timestamps, start on empty timestamps and reach t_max.
+WALK_GRAPHS = (st.integers(0, 2 ** 32).map(lambda seed: random_temporal_graph(
+    random.Random(seed), max_vertices=12, max_timestamps=8))
+    | gappy_temporal_graphs() | sticky_temporal_graphs())
 
 
 class TestInterval:
@@ -432,17 +440,17 @@ class TestIntervalEdges:
         with pytest.raises(ValueError):
             edges_in_interval(g_ex, Interval(0, 3))
 
-    def test_anti_monotone_under_widening(self):
-        rng = random.Random(11)
-        for _ in range(25):
-            g = random_temporal_graph(rng, max_vertices=10, max_timestamps=6)
-            for t_s in range(g.t_max + 1):
-                previous = None
-                for t_e in range(t_s, g.t_max + 1):
-                    edges = edges_in_interval(g, Interval(t_s, t_e))
-                    if previous is not None:
-                        assert edges <= previous
-                    previous = edges
+    @settings(max_examples=100, deadline=None)
+    @given(WALK_GRAPHS)
+    def test_anti_monotone_under_widening(self, g):
+        for t_s in range(g.t_max + 1):
+            previous = None
+            for t_e in range(t_s, g.t_max + 1):
+                edges = edges_in_interval(g, Interval(t_s, t_e))
+                assert edges == interval_edges(g, t_s, t_e)
+                if previous is not None:
+                    assert edges <= previous
+                previous = edges
 
 
 class TestEdgeDiffSets:
@@ -456,29 +464,28 @@ class TestEdgeDiffSets:
         g = TemporalGraph(["a", "b"], [set(), {(0, 1)}])
         assert edge_diff_sets(g, 0) is None
 
-    def test_reconstruction_matches_direct_intersections(self):
-        rng = random.Random(23)
-        for _ in range(40):
-            g = random_temporal_graph(rng, max_vertices=12, max_timestamps=8)
-            for t_s in range(g.t_max + 1):
-                diff = edge_diff_sets(g, t_s)
-                if diff is None:
-                    assert not g.edges_at(t_s)
-                    continue
-                t_star, removed, surviving = diff
-                assert len(removed) == t_star - t_s
-                # storage bound: the diff sets and the surviving set partition E_start
-                assert sum(len(r) for r in removed) + len(surviving) == len(g.edges_at(t_s))
-                assert surviving == edges_in_interval(g, Interval(t_s, t_star))
-                edges = set(g.edges_at(t_s))
-                for chunk in removed:
-                    edges -= chunk
-                assert edges == interval_edges(g, t_s, t_star)
-                if t_star < g.t_max:
-                    assert not interval_edges(g, t_s, t_star + 1)
-                for t_e in range(t_star - 1, t_s - 1, -1):
-                    edges |= removed[t_e - t_s]
-                    assert edges == interval_edges(g, t_s, t_e)
+    @settings(max_examples=100, deadline=None)
+    @given(WALK_GRAPHS)
+    def test_reconstruction_matches_direct_intersections(self, g):
+        for t_s in range(g.t_max + 1):
+            diff = edge_diff_sets(g, t_s)
+            if diff is None:
+                assert not interval_edges(g, t_s, t_s)
+                continue
+            t_star, removed, surviving = diff
+            assert len(removed) == t_star - t_s
+            # storage bound: the diff sets and the surviving set partition E_start
+            assert sum(len(r) for r in removed) + len(surviving) == len(g.edges_at(t_s))
+            assert surviving == edges_in_interval(g, Interval(t_s, t_star))
+            edges = set(g.edges_at(t_s))
+            for chunk in removed:
+                edges -= chunk
+            assert edges == interval_edges(g, t_s, t_star)
+            for t_e in range(t_star + 1, g.t_max + 1):
+                assert not interval_edges(g, t_s, t_e)
+            for t_e in range(t_star - 1, t_s - 1, -1):
+                edges |= removed[t_e - t_s]
+                assert edges == interval_edges(g, t_s, t_e)
 
 
 class TestDumps:
