@@ -11,11 +11,11 @@ import csv
 import math
 import random
 from collections import Counter, defaultdict
+from itertools import chain, groupby, islice
 from typing import Iterable, Mapping, NamedTuple, TextIO
 
-from .core_kernel import core_decomposition
 from .span_cores import DecompositionResult
-from .temporal_graph import Edge, Interval, TemporalGraph, edges_in_interval
+from .temporal_graph import Edge, Interval, TemporalGraph, _edge_walk
 
 
 def stats_by_order(result: DecompositionResult) -> list[tuple[int, int, float]]:
@@ -217,12 +217,6 @@ class AnomalyReport(NamedTuple):
     surviving: TemporalGraph
 
 
-def _order_one_core(g: TemporalGraph, interval: Interval) -> frozenset[int]:
-    edges = edges_in_interval(g, interval)
-    labeling = core_decomposition(range(g.vertex_count), edges)
-    return frozenset(labeling.coreness)
-
-
 def check_anomaly_thresholds(tr: int, ratio: float | None) -> None:
     """Raise ValueError unless tr >= 1 and ratio is None or positive and finite."""
     if tr < 1:
@@ -235,21 +229,27 @@ def detect_anomalies(g: TemporalGraph, maximal: DecompositionResult, tr: int,
                      ratio: float | None = None) -> AnomalyReport:
     """Flag and strip contacts tied to suspiciously long-lived cores.
 
-    Intervals of maximal cores wider than tr are anomalous. At each
-    timestamp such an interval covers, every vertex of its order-1 core is
-    anomalous, and contacts touching an anomalous vertex are removed. With a
-    ratio, which must be positive and finite, whole timestamps are dropped
-    where original/surviving contact counts exceed it (a timestamp filtered
-    to zero counts as infinite).
+    Intervals of maximal cores wider than tr are anomalous. At each timestamp
+    such an interval covers, every vertex of its order-1 core (every vertex
+    with an edge present throughout the interval) is anomalous, and contacts
+    touching an anomalous vertex are removed. With a ratio, which must be
+    positive and finite, whole timestamps are dropped where original/surviving
+    contact counts exceed it (a timestamp filtered to zero counts as infinite).
     """
     check_anomaly_thresholds(tr, ratio)
 
     intervals = frozenset(c.span for c in maximal.cores if c.span.width > tr)
     anomalous_by_time: dict[int, set[int]] = defaultdict(set)
-    for interval in sorted(intervals):
-        members = _order_one_core(g, interval)
-        for t in interval.timestamps():
-            anomalous_by_time[t].update(members)
+    for start, flagged in groupby(sorted(intervals), key=lambda interval: interval.start):
+        order_one = {interval.end: frozenset() for interval in flagged}  # unreached: no edges
+        for t_e, edges in islice(_edge_walk(g, start), max(order_one) - start + 1):
+            if t_e in order_one:
+                order_one[t_e] = frozenset(chain.from_iterable(edges))
+        for end, members in order_one.items():
+            if end > g.t_max:
+                raise ValueError(f"interval {Interval(start, end)} exceeds t_max={g.t_max}")
+            for t in range(start, end + 1):
+                anomalous_by_time[t].update(members)
 
     removed_counts = dict.fromkeys(g.nonempty_times, 0)
     kept: dict[int, frozenset[Edge]] = {}

@@ -80,9 +80,9 @@ def _manifest(args: argparse.Namespace) -> str:
 
 
 def _check_out(path_text: str) -> None:
-    """Raise ValueError unless `--out` is a directory or can be made one."""
+    """Raise ValueError unless `--out` is a directory or can be made one; a dangling link cannot."""
     path = Path(path_text)
-    existing = next(p for p in (path, *path.parents) if p.exists())
+    existing = next(p for p in (path, *path.parents) if p.exists() or p.is_symlink())
     if not existing.is_dir():
         raise ValueError(f"--out {path}: {existing} is not a directory")
 

@@ -7,9 +7,9 @@ does not depend on the order in which vertices of one degree are peeled.
 Runs in O(|vertices| + |edges|).
 
 One peel loop serves every engine. `core_decomposition` builds adjacency
-lists from an edge list for the full decompositions and the anomaly pass;
-`innermost_core` peels the direct maximal engine's candidates straight from
-the adjacency lists its replay keeps.
+lists from an edge list for the full decompositions; `innermost_core` peels
+the direct maximal engine's candidates straight from the adjacency lists its
+replay keeps.
 """
 
 from __future__ import annotations

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import io
 import random
+import re
 from collections import Counter
 
 import pytest
 
+from spancores import analysis
 from spancores import (
     AnomalyReport,
     AttributeTable,
@@ -31,6 +33,7 @@ from .conftest import (
     planted_clique_graph,
     random_temporal_graph,
     ratio_fixture_graph,
+    reference_detect_anomalies,
 )
 
 
@@ -288,6 +291,64 @@ class TestDetectAnomalies:
         for ratio in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="ratio must be positive and finite"):
                 detect_anomalies(g, maximal, tr=5, ratio=ratio)
+
+
+    @pytest.mark.parametrize("tr", [1, 2])
+    def test_one_edge_walk_per_flagged_start_on_a_sliding_clique(self, monkeypatch, tr):
+        """Every flagged interval that starts at s reads its order-1 core from one walk from s.
+
+        At timestamp t the graph holds a 6-clique on vertices t..t+5, so every
+        interval of width 2..5 carries a maximal core and each start has
+        several flagged ends.
+        """
+        size, timestamps = 6, 40
+        g = TemporalGraph([f"v{u}" for u in range(timestamps + size - 1)],
+                          [{(u, v) for u in range(t, t + size) for v in range(u + 1, t + size)}
+                           for t in range(timestamps)])
+        maximal = maximal_span_cores(g)
+        walk, starts = analysis._edge_walk, []
+
+        def spy(graph, start):
+            starts.append(start)
+            return walk(graph, start)
+
+        monkeypatch.setattr(analysis, "_edge_walk", spy)
+        report = detect_anomalies(g, maximal, tr=tr)
+        monkeypatch.undo()
+        expected = reference_detect_anomalies(g, maximal, tr=tr)
+        assert _report_fields(report) == _report_fields(expected)
+        assert report.removed_contacts == expected.removed_contacts
+        flagged_starts = {interval.start for interval in report.anomalous_intervals}
+        assert len(report.anomalous_intervals) > 2 * len(flagged_starts)
+        assert sorted(starts) == sorted(flagged_starts)
+
+    def test_interval_past_t_max_raises(self):
+        g = planted_clique_graph()
+        late = Interval(3, g.t_max + 1)
+        result = DecompositionResult((SpanCore(1, late, frozenset({0, 1})),), g.labels,
+                                     RunMetrics())
+        with pytest.raises(ValueError,
+                           match=re.escape(f"interval {late} exceeds t_max={g.t_max}")):
+            detect_anomalies(g, result, tr=1)
+
+    def test_flagged_interval_without_edges_keys_its_timestamps(self):
+        """A result from another graph may flag intervals that have no edges in this one."""
+        g = TemporalGraph(["a", "b", "c", "d"], [{(0, 1), (2, 3)}, {(0, 1)}, {(2, 3)}])
+        spans = (Interval(0, 1), Interval(0, 2), Interval(1, 2))
+        result = DecompositionResult(tuple(SpanCore(1, span, frozenset({0, 1})) for span in spans),
+                                     g.labels, RunMetrics())
+        report = detect_anomalies(g, result, tr=1)
+        assert report.anomalous_intervals == frozenset(spans)
+        assert report.anomalous_vertices_by_time == {
+            0: frozenset({0, 1}), 1: frozenset({0, 1}), 2: frozenset()}
+        assert report.removed_contacts == {0: 1, 1: 1, 2: 0}
+        assert report.dropped_timestamps == frozenset()
+        assert _report_fields(report) == _report_fields(reference_detect_anomalies(g, result, 1))
+
+
+def _report_fields(report: AnomalyReport) -> tuple:
+    return (report.anomalous_intervals, report.anomalous_vertices_by_time,
+            report.dropped_timestamps, canonical_dump(report.surviving))
 
 
 class TestPrecisionRecall:

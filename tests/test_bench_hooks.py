@@ -1,8 +1,9 @@
-"""The benchmark's traced run must find every function it wraps.
+"""The benchmark's traced run must find the functions it wraps.
 
 perfbench/tracer.py wraps module attributes of the program by name; a name
-that a change removes or renames is reported as absent, and the benchmark's
-result line then carries the string "absent" where a number belongs.
+that a change removes or renames is reported as absent, and a per-layer
+metric whose hooks are all absent carries the string "absent" where a number
+belongs on the benchmark's result line.
 """
 
 from __future__ import annotations
@@ -16,11 +17,18 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 def test_every_traced_name_resolves(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
+    import metrics
     import tracer
 
     hooks = tracer.Tracer()
     hooks.prepare()
-    assert hooks.absent == []
+    # The anomaly pass reads order-1 cores from the edge walk, so it no longer
+    # imports the kernel or edges_in_interval; every other wrapped name resolves.
+    assert hooks.absent == ["analysis.edges_in_interval", "analysis.core_decomposition"]
+    # Each layer keeps a live hook, so no per-layer metric reads "absent".
+    dead = [layer.name for layer in metrics.LAYERS
+            if layer.hooks and all(hook in hooks.absent for hook in layer.hooks)]
+    assert dead == []
 
 
 def test_read_hook_counts_every_record(monkeypatch, g_ex):
@@ -46,7 +54,7 @@ def test_read_hook_counts_every_record(monkeypatch, g_ex):
 
 # A triangle over [0,1], sparse timestamps 5 and 9 and a dense one at 7, with
 # empty runs between: the seeds take both vertex sets of the kernel, and the
-# anomaly pass decomposes the flagged interval [0,1].
+# anomaly pass reads the flagged interval [0,1] from the edge walk alone.
 GAPPY_CONTACTS = """\
 a b 0
 b c 0
@@ -84,15 +92,15 @@ def test_traced_pipeline_counts_every_kernel_call(monkeypatch, tmp_path):
     # The five seeds only: [0,1] keeps the triangle of the seed at 0, so it
     # takes that seed's cores without a kernel call.
     assert counts["span_cores.core_decomposition"] == 5
-    assert counts["analysis.core_decomposition"] == 1
+    assert counts["analysis.core_decomposition"] == 0
     for key in ("kernel.vertices_in", "kernel.edges_in", "kernel.labelled"):
         assert type(counts[key]) is int and counts[key] > 0
     # Beside the direct engine's candidates: all nine vertices for each of
-    # the five seeds and for the anomaly pass's [0,1], which hand the kernel
-    # the vertex-id range. The pruned engine's [0,1] reuses its left parent's
-    # cores, so its candidates never reach the kernel.
+    # the five seeds, which hand the kernel the vertex-id range. The pruned
+    # engine's [0,1] reuses its left parent's cores, so its candidates never
+    # reach the kernel, and the anomaly pass calls no kernel.
     assert (counts["kernel.vertices_in"] - counts["maximal.processed_vertices"]
-            == 5 * 9 + 9)
+            == 5 * 9)
 
 
 def test_traced_maximal_run_counts_one_kernel_call_per_decomposed_interval(monkeypatch, tmp_path):

@@ -438,6 +438,15 @@ class TestErrorsAndDeterminism:
             assert error == [f"error: --out {out}: {taken} is not a directory"]
         assert taken.read_text() == "a b 0\n"
 
+    def test_dangling_symlink_out_exits_2_before_the_input_is_read(self, tmp_path, capsys):
+        dangling = tmp_path / "dangling"
+        dangling.symlink_to(tmp_path / "nowhere")
+        for out in (dangling, dangling / "sub"):
+            assert run("decompose", "--input", tmp_path / "absent.txt", "--out", out) == 2
+            error = capsys.readouterr().err.strip().splitlines()
+            assert error == [f"error: --out {out}: {dangling} is not a directory"]
+        assert dangling.is_symlink() and not (tmp_path / "nowhere").exists()
+
     def test_strict_mode_aborts_on_malformed_line(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("a b 0\nbroken line here extra\n")
