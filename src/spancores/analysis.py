@@ -12,7 +12,7 @@ import math
 import random
 from collections import Counter, defaultdict
 from itertools import chain, groupby, islice
-from typing import Iterable, Mapping, NamedTuple, TextIO
+from typing import Callable, Iterable, Mapping, NamedTuple, TextIO
 
 from .span_cores import DecompositionResult
 from .temporal_graph import Edge, Interval, TemporalGraph, _edge_walk
@@ -147,25 +147,28 @@ def reshuffle_timestamps(g: TemporalGraph, seed: int = 0) -> TemporalGraph:
     drawn and their endpoints crossed; swaps that would duplicate an existing
     edge are rejected. Processed edges leave the pending pool, and after
     10 * |E_t| draws whatever is still pending stays as-is. Every vertex
-    keeps its exact degree at every timestamp.
+    keeps its exact degree at every timestamp. Timestamp t draws from
+    random.Random(seed * _SEED_MIX + t), built at the first draw from a pool
+    of three or more edges: a pool of two crosses alike whichever way it is
+    drawn, so it takes one attempt and no draw.
     """
-    shuffled = {}
-    for t in g.nonempty_times:
-        edges = g.edges_at(t)
-        if len(edges) < 2:
-            shuffled[t] = edges  # nothing to swap, so no draw
-        else:
-            shuffled[t] = _reshuffle_edges(edges, random.Random(seed * _SEED_MIX + t))
+    shuffled = {t: _reshuffle_edges(g.edges_at(t), seed * _SEED_MIX + t)
+                for t in g.nonempty_times}
     return TemporalGraph._from_canonical(g.labels, g.t_max, shuffled)
 
 
-def _reshuffle_edges(edges: frozenset[Edge], rng: random.Random) -> frozenset[Edge]:
+def _reshuffle_edges(edges: frozenset[Edge], seed: int) -> frozenset[Edge]:
     current = set(edges)
     pool = sorted(edges)  # deterministic draw order
     budget = 10 * len(pool)
+    getrandbits = None
     while len(pool) >= 2 and budget > 0:
         budget -= 1
-        i, j = _draw_pair(rng, len(pool))
+        if len(pool) == 2:  # (0, 1) and (1, 0) cross alike: swap now or never
+            i, j, budget = 0, 1, 0
+        else:
+            getrandbits = getrandbits or random.Random(seed).getrandbits
+            i, j = _draw_pair(getrandbits, len(pool))
         u, v = pool[i]
         w, z = pool[j]
         if u in (w, z) or v in (w, z):
@@ -174,33 +177,33 @@ def _reshuffle_edges(edges: frozenset[Edge], rng: random.Random) -> frozenset[Ed
         second = (w, v) if w < v else (v, w)
         if first in current or second in current:
             continue
-        current.remove(pool[i])
-        current.remove(pool[j])
-        current.add(first)
-        current.add(second)
-        for index in sorted((i, j), reverse=True):
-            pool.pop(index)
+        current.difference_update((pool[i], pool[j]))
+        current.update((first, second))
+        del pool[max(i, j)], pool[min(i, j)]
     return frozenset(current)
 
 
-def _draw_pair(rng: random.Random, n: int) -> tuple[int, int]:
-    """Two distinct indices below n, drawn as `rng.sample(range(n), 2)` draws them.
+def _draw_pair(getrandbits: Callable[[int], int], n: int) -> tuple[int, int]:
+    """Two distinct indices below n, drawn as `sample(range(n), 2)` draws them.
 
     This copies the two branches CPython 3.11's `sample` takes for k=2: up
     to 21 items it swaps the first pick out of a pool, above that it redraws
-    the second pick on a collision. The two `randrange` calls skip the rest
-    of `sample`'s set-up but draw the same numbers, so the shuffled bytes
-    stay the same.
+    the second pick on a collision. A pick below m is the rejection loop of
+    `Random._randbelow_with_getrandbits`, which `sample` and `randrange` run:
+    redraw `getrandbits(m.bit_length())` until it is below m. So the numbers
+    are the same, without their Python frames, and so are the shuffled bytes.
     """
-    i = rng.randrange(n)
+    i = j = n
+    k = n.bit_length()
+    while i >= n:
+        i = getrandbits(k)
     if n <= 21:
-        j = rng.randrange(n - 1)
-        if j == i:
-            j = n - 1
-    else:
-        j = rng.randrange(n)
-        while j == i:
-            j = rng.randrange(n)
+        k = (n - 1).bit_length()
+        while j >= n - 1:
+            j = getrandbits(k)
+        return i, n - 1 if j == i else j
+    while j >= n or j == i:
+        j = getrandbits(k)
     return i, j
 
 

@@ -111,13 +111,29 @@ def _load_graph(args: argparse.Namespace, positives: list[int] | None = None):
     check_window(args.window)  # before the input is read
     with _open_input(args.input, "input file") as handle:
         contacts, skipped = parse_contact_lines(handle, strict=args.strict)
-        graph = ingest_contacts(contacts, window=args.window, origin=args.origin)
+        try:
+            graph = ingest_contacts(contacts, window=args.window, origin=args.origin)
+        except ValueError as error:
+            handle.seek(0)
+            raise ValueError(_with_line(error, handle, args)) from None
     if positives is not None:
         with _named(args.positives):
             check_positive_timestamps(positives, graph.t_max)  # before the engine runs
     notes = [f"skipped {skipped} malformed contact line(s)"] if skipped else []
     notes.append(f"ingested {len(contacts)} contacts -> {graph!r}")
     return graph, notes
+
+
+def _with_line(error: ValueError, lines, args: argparse.Namespace) -> str:
+    """`error` led by the first line whose contact alone raises it; ingest names the first fault."""
+    for number, line in enumerate(lines, start=1):
+        contacts = parse_contact_lines([line], strict=False)[0]
+        try:
+            ingest_contacts(contacts, window=args.window, origin=args.origin)
+        except ValueError as own:
+            if contacts and str(own) == str(error):
+                return f"line {number}: {error}"
+    return str(error)
 
 
 def _run_engine(engine, graph, bench: bool):

@@ -4,6 +4,7 @@ import io
 import random
 import re
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -34,6 +35,7 @@ from .conftest import (
     random_temporal_graph,
     ratio_fixture_graph,
     reference_detect_anomalies,
+    reference_reshuffle_timestamps,
 )
 
 
@@ -224,13 +226,47 @@ class TestReshuffle:
         # one edge, or two edges sharing a vertex: nothing can move
         assert canonical_dump(shuffled) == canonical_dump(g)
 
+    def test_small_pools_match_the_reference(self):
+        # 2-6 edges per timestamp: pools of four to six often shrink to two
+        # edges with budget left, where the reference keeps drawing.
+        for seed in range(20):
+            rng = random.Random(f"small pools {seed}")
+            n = 8
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            g = TemporalGraph([f"v{i}" for i in range(n)],
+                              [rng.sample(pairs, rng.randint(2, 6)) for _ in range(12)])
+            assert canonical_dump(reshuffle_timestamps(g, seed=seed)) == \
+                canonical_dump(reference_reshuffle_timestamps(g, seed=seed))
+
+    def test_a_dense_pool_matches_the_reference(self):
+        rng = random.Random(34)
+        edges = {(i, j) for i in range(40) for j in range(i + 1, 40) if rng.random() < 0.5}
+        g = TemporalGraph([f"v{i}" for i in range(40)], [edges])
+        for seed in range(2):
+            assert canonical_dump(reshuffle_timestamps(g, seed=seed)) == \
+                canonical_dump(reference_reshuffle_timestamps(g, seed=seed))
+
+    def test_only_a_pool_of_three_or_more_builds_a_generator(self, monkeypatch):
+        built = []
+
+        def spy(seed):
+            built.append(seed)
+            return random.Random(seed)
+
+        monkeypatch.setattr(analysis, "random", SimpleNamespace(Random=spy))
+        g = TemporalGraph([f"v{i}" for i in range(8)],
+                          [{(0, 1)}, {(0, 1), (2, 3)}, {(0, 1), (1, 2)}, {(0, 1), (2, 3), (4, 5)}])
+        shuffled = reshuffle_timestamps(g, seed=9)
+        assert built == [9 * analysis._SEED_MIX + 3]
+        assert canonical_dump(shuffled) == canonical_dump(reference_reshuffle_timestamps(g, seed=9))
+
     def test_pair_draw_matches_sample(self):
         # Both branches of sample: the pool swap up to 21 items, the redraw above.
         for n in range(2, 61):
             for seed in range(40):
                 fast, slow = random.Random(seed), random.Random(seed)
                 for _ in range(25):
-                    assert _draw_pair(fast, n) == tuple(slow.sample(range(n), 2))
+                    assert _draw_pair(fast.getrandbits, n) == tuple(slow.sample(range(n), 2))
                 assert fast.getstate() == slow.getstate()
 
 

@@ -467,7 +467,8 @@ class TestErrorsAndDeterminism:
 
     @pytest.mark.parametrize("contacts, positives, faulty, message", [
         ("a b 0\nbroken\nb; c 1\n", None, "contacts",
-         "vertex label 'b;' contains ';', which core files and contact lines use as a separator"),
+         "line 3: vertex label 'b;' contains ';', "
+         "which core files and contact lines use as a separator"),
         ("a b 0\nb c 1\n", "9\n", "positives", "positive timestamps [9] outside 0..1"),
     ], ids=["lenient-skip-then-ingest-fault", "positives-out-of-range-after-ingest"])
     def test_an_input_error_is_the_only_line_on_stderr(self, tmp_path, capsys,
@@ -536,7 +537,7 @@ class TestErrorsAndDeterminism:
         path.write_text("a;x b 0\nb c 0\nc a;x 0\n")
         assert run("decompose", "--input", path, "--out", tmp_path / "o") == 2
         error = capsys.readouterr().err.strip().splitlines()
-        assert error[-1] == (f"error: {path} vertex label 'a;x' contains ';', "
+        assert error[-1] == (f"error: {path} line 1: vertex label 'a;x' contains ';', "
                              "which core files and contact lines use as a separator")
         assert not (tmp_path / "o" / "cores.csv").exists()
 
@@ -574,7 +575,8 @@ class TestErrorsAndDeterminism:
         path.write_text(contacts)
         assert run("shuffle", "--input", path, "--out", tmp_path / "o") == 2
         error = capsys.readouterr().err.strip().splitlines()
-        assert len(error) == 1 and error[0].startswith(f"error: {path} vertex label {label} ")
+        assert len(error) == 1
+        assert error[0].startswith(f"error: {path} line 1: vertex label {label} ")
         assert not (tmp_path / "o" / "shuffled.txt").exists()
 
     @pytest.mark.parametrize("row, message", [
@@ -622,7 +624,7 @@ class TestErrorsAndDeterminism:
     @pytest.mark.parametrize("content, message", [
         (b"a b 0\nbad line\n", "line 2: expected three fields: 'bad line'"),
         (b"a b 0\n\xff b 1\n", "'utf-8' codec can't decode byte 0xff in position 6"),
-        (b"a b 0\nb;c d 1\n", "vertex label 'b;c' contains ';', which core files"),
+        (b"a b 0\nb;c d 1\n", "line 2: vertex label 'b;c' contains ';', which core files"),
         (b"# a comment\n\n", "no contacts"),
     ])
     def test_a_faulty_contact_file_is_named(self, tmp_path, capsys, content, message):
@@ -637,7 +639,25 @@ class TestErrorsAndDeterminism:
         path.write_text("a b 7\nb c 0\n")
         assert run("decompose", "--input", path, "--origin", 5, "--out", tmp_path / "o") == 2
         error = capsys.readouterr().err.strip().splitlines()
-        assert error == [f"error: {path} contact time 0 precedes origin 5"]
+        assert error == [f"error: {path} line 2: contact time 0 precedes origin 5"]
+
+    @pytest.mark.parametrize("content, origin, message", [
+        (b"a b 0\nb; c 1\n", None, "line 2: vertex label 'b;' contains ';'"),
+        (b"a b 5\nc d 3\n", 4, "line 2: contact time 3 precedes origin 4"),
+        # comments, blank and skipped lines, CRLF and commas still count as lines
+        (b"# h\r\n\r\na b 0\r\nbroken\r\nc, d;e, 1\r\nd;e a 2\r\n", None,
+         "line 5: vertex label 'd;e' contains ';'"),
+        (b"a b 9\nc d 7\n\nb c 3\nc e 1\n", 5, "line 4: contact time 3 precedes origin 5"),
+        (b"\xef\xbb\xbfa #b 0\n", None, "line 1: vertex label '#b' starts with '#'"),
+    ], ids=["label", "origin", "non-canonical-label", "first-time-before-origin", "bom"])
+    def test_an_ingest_error_names_the_first_line_at_fault(self, tmp_path, capsys,
+                                                           content, origin, message):
+        path = tmp_path / "c.txt"
+        path.write_bytes(content)
+        argv = [] if origin is None else ["--origin", origin]
+        assert run("decompose", "--input", path, *argv, "--out", tmp_path / "o") == 2
+        error = capsys.readouterr().err.splitlines()
+        assert len(error) == 1 and error[0].startswith(f"error: {path} {message}")
 
     @pytest.mark.parametrize("content, message", [
         (b"0\n\xff\n", "'utf-8' codec can't decode byte 0xff in position 2: invalid start byte"),
