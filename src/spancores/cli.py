@@ -357,15 +357,15 @@ def main(argv=None) -> int:
         _check_out(args.out)  # before any input is read
         artifacts, notes = args.func(args)
         artifacts["run-manifest.json"] = _manifest(args)  # last, so it marks a whole run
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        path = out / "run-manifest.json"
+        path = out = Path(args.out)
         try:
+            out.mkdir(parents=True, exist_ok=True)
+            path = out / "run-manifest.json"
             path.unlink(missing_ok=True)  # so no earlier run's manifest stands beside new artifacts
             for name, text in artifacts.items():
                 path = out / name
                 _write_atomic(path, text)
-        except OSError as error:  # name the artifact, not its temp file
+        except OSError as error:  # name --out or the artifact, not its temp file
             raise OSError(f"{path} {error.strerror or error}") from None
         for note in notes:
             print(note, file=sys.stderr)

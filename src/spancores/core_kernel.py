@@ -79,22 +79,21 @@ def core_decomposition(vertices: Container[int], edges: Iterable[Edge]) -> CoreL
 
 
 def innermost_core(candidates: Sequence[int], adjacency: Sequence[Sequence[int]],
-                   degree: Sequence[int], bound: int,
-                   work: MutableSequence[int]) -> tuple[int, frozenset[int]]:
+                   bound: int, work: MutableSequence[int]) -> tuple[int, frozenset[int]]:
     """Order and members of the candidates' highest-order core; (0, empty) if edgeless.
 
     The graph is the subgraph the candidates induce. `adjacency[u]` lists
-    every neighbour of vertex u and `degree[u]` is its length. The
+    every neighbour of vertex u, so its length is u's degree. The
     candidates are exactly the vertices whose degree beats `bound`, so a
     candidate's induced degree is its degree minus its neighbours at or
     below the bound. `work` holds one zero per vertex id; the peel counts in
     it and leaves it all zeros again.
     """
     for u in candidates:
-        d = degree[u]
+        d = len(adjacency[u])
         if bound:
             for v in adjacency[u]:
-                if degree[v] <= bound:
+                if len(adjacency[v]) <= bound:
                     d -= 1
         work[u] = d
     coreness = _peel(candidates, adjacency, work)

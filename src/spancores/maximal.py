@@ -5,11 +5,11 @@ interval covering its own. Two routes: filter the full decomposition, or walk
 intervals directly from widest to narrowest per start time, using orders
 already established for neighboring intervals as lower bounds that prune
 both candidate vertices and whole intervals. The direct walk keeps each
-vertex's degree and neighbour list in run-wide lists indexed by vertex id,
-adds only the edges that arrive at each step, and resets only the vertices a
-start time touched, so its replay cost follows the arriving edges, not |V|
-or the interval's whole edge set per step. The kernel peels the candidates
-straight from those neighbour lists.
+vertex's neighbour list, whose length is its degree, in one run-wide list
+indexed by vertex id, adds only the edges that arrive at each step, and
+resets only the vertices a start time touched, so its replay cost follows
+the arriving edges, not |V| or the interval's whole edge set per step. The
+kernel peels the candidates straight from those neighbour lists.
 """
 
 from __future__ import annotations
@@ -73,13 +73,12 @@ def maximal_span_cores(g: TemporalGraph, trace: MaximalTrace | None = None) -> D
     For a fixed start, interval edge sets are replayed from the
     difference encoding, growing as the end moves earlier: the edges of the
     widest interval arrive first, then each step's diff set, and every
-    arriving edge raises both endpoints' degrees and joins both neighbour
-    lists. Before decomposing an interval, its innermost order is
-    lower-bounded by the orders of the two intervals that extend it (one
-    more timestamp before the start, one fewer trimmed from the end); only
-    vertices whose degree beats the bound can matter, so they are the
-    candidates the kernel peels, and the interval is skipped as non-maximal
-    unless it strictly beats the bound.
+    arriving edge joins both endpoints' neighbour lists. Before decomposing
+    an interval, its innermost order is lower-bounded by the orders of the
+    two intervals that extend it (one more timestamp before the start, one
+    fewer trimmed from the end); only vertices whose degree beats the bound
+    can matter, so they are the candidates the kernel peels, and the
+    interval is skipped as non-maximal unless it strictly beats the bound.
     """
     processed_vertices = 0
     cores: list[SpanCore] = []
@@ -87,12 +86,11 @@ def maximal_span_cores(g: TemporalGraph, trace: MaximalTrace | None = None) -> D
     # start times; it is never reset. Intervals with edges cover only
     # non-empty timestamps, so only those need an entry.
     k_prime = dict.fromkeys(g.nonempty_times, 0)
-    # Degrees and neighbour lists in the current start's replay; only the
-    # touched vertices ever have either, and both are dropped again before
-    # the next start. `work` is the kernel's scratch list, all zeros between
-    # calls.
-    degree = [0] * g.vertex_count
-    adjacency: list[list[int] | None] = [None] * g.vertex_count
+    # Neighbour lists in the current start's replay, a vertex's degree being
+    # the length of its list; only the touched vertices' lists are non-empty,
+    # and they are emptied again before the next start. `work` is the
+    # kernel's scratch list, all zeros between calls.
+    adjacency: list[list[int]] = [[] for _ in range(g.vertex_count)]
     work = [0] * g.vertex_count
     for t_s in g.nonempty_times:
         t_star, removed, arriving = edge_diff_sets(g, t_s)
@@ -102,22 +100,16 @@ def maximal_span_cores(g: TemporalGraph, trace: MaximalTrace | None = None) -> D
             if t_e != t_star:
                 arriving = removed[t_e - t_s]
             for u, v in arriving:
-                if degree[u]:
-                    adjacency[u].append(v)
-                else:
+                if not adjacency[u]:
                     touched.append(u)
-                    adjacency[u] = [v]
-                degree[u] += 1
-                if degree[v]:
-                    adjacency[v].append(u)
-                else:
+                adjacency[u].append(v)
+                if not adjacency[v]:
                     touched.append(v)
-                    adjacency[v] = [u]
-                degree[v] += 1
+                adjacency[v].append(u)
             bound = max(k_prime[t_e], k_trim)
-            candidates = [u for u in touched if degree[u] > bound] if bound else touched
+            candidates = [u for u in touched if len(adjacency[u]) > bound] if bound else touched
             if candidates:
-                order, members = innermost_core(candidates, adjacency, degree, bound, work)
+                order, members = innermost_core(candidates, adjacency, bound, work)
                 processed_vertices += len(candidates)
             else:
                 order, members = 0, frozenset()
@@ -131,8 +123,7 @@ def maximal_span_cores(g: TemporalGraph, trace: MaximalTrace | None = None) -> D
                     TraceStep(t_s, t_e, bound, len(candidates), order, accepted)
                 )
         for u in touched:
-            degree[u] = 0
-            adjacency[u] = None
+            adjacency[u] = []
     if trace is not None:
         trace.final_k_prime = k_prime
     return _result(g, cores, processed_vertices)

@@ -447,6 +447,35 @@ class TestErrorsAndDeterminism:
             assert error == [f"error: --out {out}: {dangling} is not a directory"]
         assert dangling.is_symlink() and not (tmp_path / "nowhere").exists()
 
+    def test_a_failed_out_creation_is_named_like_a_write_error(self, contact_file, tmp_path,
+                                                               capsys, monkeypatch):
+        # Root ignores permission bits, so the refused mkdir is simulated.
+        def refuse(self, *args, **kwargs):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(self))
+
+        out = tmp_path / "newdir" / "sub"
+        with monkeypatch.context() as patch:
+            patch.setattr(Path, "mkdir", refuse)
+            assert run("decompose", "--input", contact_file, "--out", out) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {out} {os.strerror(errno.EACCES)}"]
+        assert not (tmp_path / "newdir").exists()
+
+        # A file that appears at --out after the up-front check, while the engine runs.
+        out = tmp_path / "o2"
+        engine = cli.span_cores
+
+        def engine_then_file(graph):
+            out.write_text("x")
+            return engine(graph)
+
+        monkeypatch.setattr(cli, "span_cores", engine_then_file)
+        assert run("decompose", "--input", contact_file, "--out", out) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {out} {os.strerror(errno.EEXIST)}"]
+        assert out.read_text() == "x"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["contacts.txt", "o2"]
+
     def test_strict_mode_aborts_on_malformed_line(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("a b 0\nbroken line here extra\n")

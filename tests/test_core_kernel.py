@@ -112,17 +112,16 @@ class TestCoreDecomposition:
 def peel_candidates(n: int, edges, bound: int) -> tuple[int, frozenset[int]]:
     """innermost_core on a static graph's vertices of degree above `bound`.
 
-    Hands the kernel adjacency lists and degrees as the direct engine's
-    replay keeps them, and checks that the scratch list is all zeros again.
+    Hands the kernel adjacency lists as the direct engine's replay keeps
+    them, and checks that the scratch list is all zeros again.
     """
     adjacency: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
         adjacency[u].append(v)
         adjacency[v].append(u)
-    degree = [len(nbrs) for nbrs in adjacency]
-    candidates = [u for u in range(n) if degree[u] > bound]
+    candidates = [u for u in range(n) if len(adjacency[u]) > bound]
     work = [0] * n
-    result = innermost_core(candidates, adjacency, degree, bound, work)
+    result = innermost_core(candidates, adjacency, bound, work)
     assert work == [0] * n
     return result
 
