@@ -88,17 +88,19 @@ def _check_out(path_text: str) -> None:
 
 
 @contextmanager
-def _named(path_text: str):
-    """Start every ValueError raised in the block, decode errors too, with the input's path."""
+def _named(path: str | Path):
+    """Lead with `path` each ValueError's text and each OSError's strerror raised in the block."""
     try:
         yield
     except ValueError as error:
-        raise ValueError(f"{path_text} {error}") from None
+        raise ValueError(f"{path} {error}") from None
+    except OSError as error:
+        raise OSError(f"{path} {error.strerror or error}") from None
 
 
 @contextmanager
 def _open_input(path_text: str, what: str):
-    """Open an input file; every ValueError raised while it is open is `_named`."""
+    """Open an input file; every error raised in opening it or while it is open is `_named`."""
     path = Path(path_text)
     if not path.exists():
         raise ValueError(f"{what} not found: {path}")
@@ -114,6 +116,8 @@ def _load_graph(args: argparse.Namespace, positives: list[int] | None = None):
         try:
             graph = ingest_contacts(contacts, window=args.window, origin=args.origin)
         except ValueError as error:
+            if not contacts:  # "no contacts": no line alone raises it
+                raise
             handle.seek(0)
             raise ValueError(_with_line(error, handle, args)) from None
     if positives is not None:
@@ -357,16 +361,14 @@ def main(argv=None) -> int:
         _check_out(args.out)  # before any input is read
         artifacts, notes = args.func(args)
         artifacts["run-manifest.json"] = _manifest(args)  # last, so it marks a whole run
-        path = out = Path(args.out)
-        try:
+        out = Path(args.out)
+        with _named(out):
             out.mkdir(parents=True, exist_ok=True)
-            path = out / "run-manifest.json"
-            path.unlink(missing_ok=True)  # so no earlier run's manifest stands beside new artifacts
-            for name, text in artifacts.items():
-                path = out / name
-                _write_atomic(path, text)
-        except OSError as error:  # name --out or the artifact, not its temp file
-            raise OSError(f"{path} {error.strerror or error}") from None
+        with _named(out / "run-manifest.json"):  # no earlier run's manifest beside new artifacts
+            (out / "run-manifest.json").unlink(missing_ok=True)
+        for name, text in artifacts.items():
+            with _named(out / name):  # the artifact, not its temp file
+                _write_atomic(out / name, text)
         for note in notes:
             print(note, file=sys.stderr)
     except (ValueError, OSError) as error:

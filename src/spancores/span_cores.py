@@ -85,17 +85,18 @@ class DecompositionResult(NamedTuple):
         return sorted(map(self.labels.__getitem__, core.members))
 
 
-def _emit_cores(labeling, span: Interval, out: list[SpanCore]) -> frozenset[int]:
-    """Append the k-cores of one interval, k from max_order (at least 1) down; return the 1-core."""
+def _emit_cores(vertices, edges, span: Interval, out: list[SpanCore]) -> list[SpanCore]:
+    """Decompose (vertices, edges); append and return its k-cores over `span`, the 1-core last."""
+    labeling = core_decomposition(vertices, edges)
     by_order = defaultdict(list)
     for u, c in labeling.coreness.items():
         by_order[c].append(u)
     members: set[int] = set()
+    emitted = len(out)
     for k in range(labeling.max_order, 0, -1):
         members.update(by_order.get(k, ()))
-        core = SpanCore(k, span, frozenset(members))
-        out.append(core)
-    return core.members
+        out.append(SpanCore(k, span, frozenset(members)))
+    return out[emitted:]
 
 
 def _result(g: TemporalGraph, cores: list[SpanCore], processed_vertices: int) -> DecompositionResult:
@@ -115,9 +116,8 @@ def naive_span_cores(g: TemporalGraph) -> DecompositionResult:
     everyone = range(g.vertex_count)
     for t_s in g.nonempty_times:
         for t_e, edges in _edge_walk(g, t_s):
-            labeling = core_decomposition(everyone, edges)
+            _emit_cores(everyone, edges, Interval(t_s, t_e), cores)
             processed_vertices += g.vertex_count
-            _emit_cores(labeling, Interval(t_s, t_e), cores)
     return _result(g, cores, processed_vertices)
 
 
@@ -140,23 +140,17 @@ def span_cores(g: TemporalGraph) -> DecompositionResult:
     called. Every visited interval is charged its candidates either way.
 
     A level maps the start of each interval of the current width that
-    yielded cores to (order-1 core, kernel edges, emitted cores). Only
-    non-empty timestamps seed the first level, so no visited interval covers
-    an empty timestamp.
+    yielded cores to (kernel edges, emitted cores); the last of those cores
+    is the interval's order-1 core. Only non-empty timestamps seed the first
+    level, so no visited interval covers an empty timestamp.
     """
     processed_vertices = 0
     cores: list[SpanCore] = []
-    level: dict[int, tuple[frozenset[int], frozenset[Edge], list[SpanCore]]] = {}
-
-    def decompose(vertices, edges, span):
-        emitted = len(cores)
-        order_one = _emit_cores(core_decomposition(vertices, edges), span, cores)
-        return order_one, edges, cores[emitted:]
-
+    level: dict[int, tuple[frozenset[Edge], list[SpanCore]]] = {}
     for t in g.nonempty_times:
         span = Interval(t, t)
         edges = edges_in_interval(g, span)
-        level[t] = decompose(range(g.vertex_count), edges, span)
+        level[t] = edges, _emit_cores(range(g.vertex_count), edges, span, cores)
         processed_vertices += g.vertex_count
 
     width = 1
@@ -166,25 +160,25 @@ def span_cores(g: TemporalGraph) -> DecompositionResult:
             right = level.get(t_s + 1)
             if right is None:
                 continue
-            (left_core, left_edges, _), (right_core, right_edges, _) = left, right
+            (left_edges, left_cores), (right_edges, right_cores) = left, right
             edges = left_edges & right_edges
             if not edges:
                 continue
             span = Interval(t_s, t_s + width)
             if len(edges) == len(left_edges):
-                parent = left
+                parent = left_cores
             elif len(edges) == len(right_edges):
-                parent = right
+                parent = right_cores
             else:
-                candidates = left_core & right_core
+                candidates = left_cores[-1].members & right_cores[-1].members
                 processed_vertices += len(candidates)
-                wider[t_s] = decompose(candidates, edges, span)
+                wider[t_s] = edges, _emit_cores(candidates, edges, span, cores)
                 continue
             # The parent's order-1 core holds the endpoints of its edges, which
             # are edges of the other parent too, so it is the candidate set.
-            order_one, _, shells = wider[t_s] = parent
-            processed_vertices += len(order_one)
-            cores.extend([SpanCore(shell.order, span, shell.members) for shell in shells])
+            wider[t_s] = edges, parent
+            processed_vertices += parent[-1].size
+            cores.extend([SpanCore(shell.order, span, shell.members) for shell in parent])
         level = wider
         width += 1
     return _result(g, cores, processed_vertices)

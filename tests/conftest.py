@@ -565,10 +565,10 @@ def reference_span_cores(g: TemporalGraph) -> DecompositionResult:
             edges = frozenset(e for e in edges if e[0] in candidates and e[1] in candidates)
         if not edges:
             continue
-        labeling = core_decomposition(candidates, edges)
+        emitted = _emit_cores(candidates, edges, Interval(t_s, t_e), cores)
         processed_vertices += len(candidates)
-        order_one = _emit_cores(labeling, Interval(t_s, t_e), cores)
-        cores_emitted += labeling.max_order  # one core per order 1..max_order
+        order_one = emitted[-1].members
+        cores_emitted += len(emitted)  # one core per order 1..max_order
         for child in ((max(t_s - 1, 0), t_e), (t_s, min(t_e + 1, g.t_max))):
             if child == (t_s, t_e):
                 continue  # at the domain boundary the trimmed child folds back

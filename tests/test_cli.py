@@ -663,6 +663,35 @@ class TestErrorsAndDeterminism:
         error = capsys.readouterr().err.strip().splitlines()
         assert len(error) == 1 and error[0].startswith(f"error: {path} {message}")
 
+    @pytest.mark.parametrize("command", ["decompose", "stats", "purity", "anomaly"])
+    def test_an_input_that_cannot_be_opened_is_named_like_a_failed_write(
+            self, contact_file, tmp_path, capsys, command):
+        adir = tmp_path / "adir"
+        adir.mkdir()
+        argv = {"decompose": ["--input", adir],
+                "stats": ["--cores", adir],
+                "purity": ["--cores", contact_file, "--attributes", adir, "--attribute", "d"],
+                "anomaly": ["--input", contact_file, "--tr", 1, "--positives", adir]}[command]
+        assert run(command, *argv, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {adir} {os.strerror(errno.EISDIR)}"]
+        assert not (tmp_path / "o").exists()
+
+    def test_a_file_without_contacts_is_not_reread_line_by_line(self, tmp_path, capsys,
+                                                                monkeypatch):
+        path = tmp_path / "c.txt"
+        path.write_text("# a comment\n" * 50)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return ingest_contacts(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "ingest_contacts", counted)
+        assert run("decompose", "--input", path, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {path} no contacts"]
+        assert len(calls) == 1
+
     def test_a_contact_time_before_the_origin_is_named(self, tmp_path, capsys):
         path = tmp_path / "c.txt"
         path.write_text("a b 7\nb c 0\n")
