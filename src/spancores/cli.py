@@ -16,6 +16,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
+from itertools import islice
 from pathlib import Path
 
 from . import __version__
@@ -99,19 +100,16 @@ def _named(path: str | Path):
 
 
 @contextmanager
-def _open_input(path_text: str, what: str):
+def _open_input(path_text: str):
     """Open an input file; every error raised in opening it or while it is open is `_named`."""
-    path = Path(path_text)
-    if not path.exists():
-        raise ValueError(f"{what} not found: {path}")
-    with _named(path_text), path.open(encoding=_READ_ENCODING) as handle:
+    with _named(path_text), open(path_text, encoding=_READ_ENCODING) as handle:
         yield handle
 
 
 def _load_graph(args: argparse.Namespace, positives: list[int] | None = None):
     """Parse and ingest --input and check `positives` against it; return the graph and notes."""
     check_window(args.window)  # before the input is read
-    with _open_input(args.input, "input file") as handle:
+    with _open_input(args.input) as handle:
         contacts, skipped = parse_contact_lines(handle, strict=args.strict)
         try:
             graph = ingest_contacts(contacts, window=args.window, origin=args.origin)
@@ -129,8 +127,12 @@ def _load_graph(args: argparse.Namespace, positives: list[int] | None = None):
 
 
 def _with_line(error: ValueError, lines, args: argparse.Namespace) -> str:
-    """`error` led by the first line whose contact alone raises it; ingest names the first fault."""
-    for number, line in enumerate(lines, start=1):
+    """`error` led by the first line whose contact alone raises it; ingest names the first fault.
+
+    No line before line i + 1 holds contact i = `error.contact` or raises the same error.
+    """
+    skip = getattr(error, "contact", 0)
+    for number, line in enumerate(islice(lines, skip, None), start=skip + 1):
         contacts = parse_contact_lines([line], strict=False)[0]
         try:
             ingest_contacts(contacts, window=args.window, origin=args.origin)
@@ -189,7 +191,7 @@ def cmd_cores(args):
 
 def _read_core_file(path_text: str):
     fmt = "jsonl" if Path(path_text).suffix == ".jsonl" else "csv"
-    with _open_input(path_text, "core file") as handle:
+    with _open_input(path_text) as handle:
         return read_cores(handle, fmt)
 
 
@@ -209,7 +211,7 @@ def cmd_grid(args):
 
 
 def cmd_purity(args):
-    with _open_input(args.attributes, "attribute file") as handle:
+    with _open_input(args.attributes) as handle:
         table = AttributeTable.from_csv(handle)
         table.check_attribute(args.attribute)  # before the core file is read
     result = _read_core_file(args.cores)
@@ -229,7 +231,7 @@ def cmd_shuffle(args):
 
 def _read_positives(path_text: str) -> list[int]:
     positives = []
-    with _open_input(path_text, "positive-timestamp file") as handle:
+    with _open_input(path_text) as handle:
         for line_number, text in enumerate(map(str.strip, handle), start=1):
             if not text:
                 continue

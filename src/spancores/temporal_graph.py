@@ -9,6 +9,7 @@ alongside so inputs and outputs can speak the caller's vocabulary.
 from __future__ import annotations
 
 import io
+from collections import defaultdict
 from collections.abc import Sequence
 from itertools import count
 from typing import Iterable, Iterator, NamedTuple, TextIO
@@ -189,25 +190,30 @@ class TemporalGraph:
 
 
 class ContactColumns:
-    """Read-only contacts held as a label column and a time column.
+    """Read-only contacts held as numbered labels and raw times.
 
-    `labels` interleaves the endpoints (u0, v0, u1, v1, ...) and `times` holds
-    the raw times, so contact i is (labels[2i], labels[2i+1], times[i]).
+    `labels` and `times` hold the distinct labels and raw times in order of
+    first appearance. `ends` interleaves the label indices of the endpoints
+    (u0, v0, u1, v1, ...) and `time_ids` holds each contact's raw-time index,
+    so contact i is (labels[ends[2i]], labels[ends[2i+1]], times[time_ids[i]]).
     parse_contact_lines returns this form; ingest_contacts reads it directly.
     """
 
-    __slots__ = ("labels", "times")
+    __slots__ = ("labels", "times", "ends", "time_ids")
 
-    def __init__(self, labels: list[str], times: list[int]):
+    def __init__(self, labels: list[str], times: list[int], ends: list[int],
+                 time_ids: list[int]):
         self.labels = labels
         self.times = times
+        self.ends = ends
+        self.time_ids = time_ids
 
     def __len__(self) -> int:
-        return len(self.times)
+        return len(self.time_ids)
 
     def __iter__(self) -> Iterator[Contact]:
-        ends = iter(self.labels)
-        return zip(ends, ends, self.times)
+        ends = map(self.labels.__getitem__, self.ends)
+        return zip(ends, ends, map(self.times.__getitem__, self.time_ids))
 
 
 def parse_contact_lines(lines: Iterable[str] | TextIO,
@@ -224,13 +230,15 @@ def parse_contact_lines(lines: Iterable[str] | TextIO,
     spaces, each ending in '\n', is split whole. Any other chunk is parsed
     line by line, as the lines ending at '\n' that a stream opened with the
     default newline handling yields, with line numbers counting every chunk.
+    Each distinct label and raw time is numbered once, when a contact that
+    holds it is first accepted.
     """
-    labels: list[str] = []
-    times: list[int] = []
+    columns = (defaultdict(count().__next__), defaultdict(count().__next__), [], [])
+    label_ids, time_ids, ends, stamps = columns
     stream = isinstance(lines, io.TextIOBase)
-    numbered = _unsplit_lines(lines.read(), labels, times) if stream else enumerate(lines, start=1)
-    add_labels = labels.extend
-    add_time = times.append
+    numbered = _unsplit_lines(lines.read(), columns) if stream else enumerate(lines, start=1)
+    add_ends = ends.extend
+    add_time = stamps.append
     skipped = 0
     for line_number, raw in numbered:
         if "," in raw:
@@ -250,8 +258,8 @@ def parse_contact_lines(lines: Iterable[str] | TextIO,
                     reason = "time is not an integer"
                 else:
                     if raw_time >= 0:
-                        add_labels((u, v))
-                        add_time(raw_time)
+                        add_ends((label_ids[u], label_ids[v]))
+                        add_time(time_ids[raw_time])
                         continue
                     reason = "negative time"
             else:
@@ -261,18 +269,17 @@ def parse_contact_lines(lines: Iterable[str] | TextIO,
         if strict:
             raise ValueError(f"line {line_number}: {reason}: {raw.strip()!r}")
         skipped += 1
-    return ContactColumns(labels, times), skipped
+    return ContactColumns(list(label_ids), list(time_ids), ends, stamps), skipped
 
 
-def _unsplit_lines(text: str, labels: list[str], times: list[int]) -> Iterator[tuple[int, str]]:
+def _unsplit_lines(text: str, columns: tuple) -> Iterator[tuple[int, str]]:
     """Yield the numbered lines of each chunk of `text` that is not canonical.
 
     The walk splits a canonical chunk onto the columns when it reaches it, in file order.
     """
     line_number = 1
-    shared_labels: dict[str, str] = {}
     for chunk in _chunks(text):
-        line_count = _split_canonical(chunk, labels, times, shared_labels)
+        line_count = _split_canonical(chunk, *columns)
         if not line_count:
             chunk_lines = chunk.removesuffix("\n").split("\n")
             yield from enumerate(chunk_lines, start=line_number)
@@ -280,13 +287,13 @@ def _unsplit_lines(text: str, labels: list[str], times: list[int]) -> Iterator[t
         line_number += line_count
 
 
-def _split_canonical(chunk: str, labels: list[str], times: list[int],
-                     shared_labels: dict[str, str]) -> int:
+def _split_canonical(chunk: str, label_ids: dict[str, int], time_ids: dict[int, int],
+                     ends: list[int], stamps: list[int]) -> int:
     """Append a canonical chunk's contacts to the columns and return its line count, else 0.
 
     Every line of a canonical chunk is a contact the line parser accepts, so
-    the chunk is split whole. Each distinct label keeps one string object
-    across chunks, and each distinct time string is converted once.
+    the chunk is split whole. Its fields are numbered only once every check
+    has passed, and each distinct time string is converted once.
     """
     if not (chunk.isascii() and chunk.endswith("\n")):
         return 0
@@ -304,12 +311,13 @@ def _split_canonical(chunk: str, labels: list[str], times: list[int],
     if not "".join(distinct).isdigit():
         return 0
     try:
-        raw_times = {field: int(field) for field in distinct}
+        raw_times = [int(field) for field in distinct]
     except ValueError:  # more digits than int() converts
         return 0
-    times.extend(map(raw_times.__getitem__, time_fields))
+    time_index = dict(zip(distinct, map(time_ids.__getitem__, raw_times)))
+    stamps.extend(map(time_index.__getitem__, time_fields))
     del fields[2::3]
-    labels.extend(map(shared_labels.setdefault, fields, fields))
+    ends.extend(map(label_ids.__getitem__, fields))
     return line_count
 
 
@@ -335,31 +343,37 @@ def ingest_contacts(contacts: Iterable[Contact], window: int = 1,
     whitespace, and may not start with '#', so every core file and contact
     line written from the graph reads back.
 
-    Contacts are read as columns: each distinct raw time is discretized
-    once, and each edge goes straight into its timestamp's set.
+    Contacts are read as numbered columns: each label index is a vertex id,
+    each distinct label is checked once, and each distinct raw time is mapped
+    to its window's edge set once. A label or origin ValueError carries in
+    `contact` the 0-based index of the first contact at fault.
     """
     if not isinstance(contacts, ContactColumns):
-        contacts = list(contacts)
-        contacts = ContactColumns([label for u, v, _ in contacts for label in (u, v)],
-                                  [raw_time for _, _, raw_time in contacts])
+        label_ids, time_ids = defaultdict(count().__next__), defaultdict(count().__next__)
+        rows = [(label_ids[u], label_ids[v], time_ids[t]) for u, v, t in contacts]
+        contacts = ContactColumns(list(label_ids), list(time_ids),
+                                  [end for u, v, _ in rows for end in (u, v)],
+                                  [t for _, _, t in rows])
     if not contacts:
         raise ValueError("no contacts")
     check_window(window)
-    raw_times = dict.fromkeys(contacts.times)
-    origin = _origin(raw_times, origin)
-    ids = dict(zip(dict.fromkeys(contacts.labels), count()))
-    for label in ids:
-        _check_label(label)
+    origin = _origin(contacts, origin)
+    for vertex, label in enumerate(contacts.labels):
+        try:
+            _check_label(label)
+        except ValueError as error:
+            error.contact = contacts.ends.index(vertex) // 2
+            raise
     windows: dict[int, set[Edge]] = {}
-    edges_of = {t: windows.setdefault((t - origin) // window, set()) for t in raw_times}
-    ends = map(ids.__getitem__, contacts.labels)
-    for u, v, edges in zip(ends, ends, map(edges_of.__getitem__, contacts.times)):
+    sets = [windows.setdefault((t - origin) // window, set()) for t in contacts.times]
+    ends = iter(contacts.ends)
+    for u, v, edges in zip(ends, ends, map(sets.__getitem__, contacts.time_ids)):
         if u < v:  # a self-loop adds no edge; its labels and time still count
             edges.add((u, v))
         elif v < u:
             edges.add((v, u))
     edges_by_time = {t: frozenset(edges) for t, edges in windows.items() if edges}
-    return TemporalGraph._from_canonical(ids, (max(raw_times) - origin) // window,
+    return TemporalGraph._from_canonical(contacts.labels, (max(contacts.times) - origin) // window,
                                          edges_by_time)
 
 
@@ -369,18 +383,20 @@ def check_window(window: int) -> None:
         raise ValueError(f"window must be a positive integer, got {window}")
 
 
-def _origin(raw_times: dict[int, object], origin: int | None) -> int:
-    """`origin`, or the earliest of the distinct raw times if it is None.
+def _origin(contacts: ContactColumns, origin: int | None) -> int:
+    """`origin`, or the earliest raw time if it is None.
 
-    `raw_times` holds the distinct raw times in file order, so the error
-    names the first contact time before the origin.
+    The distinct raw times are in file order, so the error names the first
+    contact time before the origin, and its `contact` is the first use of it.
     """
-    earliest = min(raw_times)
+    earliest = min(contacts.times)
     if origin is None:
         return earliest
     if earliest < origin:
-        first = next(t for t in raw_times if t < origin)
-        raise ValueError(f"contact time {first} precedes origin {origin}")
+        first = next(i for i, t in enumerate(contacts.times) if t < origin)
+        error = ValueError(f"contact time {contacts.times[first]} precedes origin {origin}")
+        error.contact = contacts.time_ids.index(first)
+        raise error
     return origin
 
 

@@ -717,6 +717,32 @@ class TestErrorsAndDeterminism:
         error = capsys.readouterr().err.splitlines()
         assert len(error) == 1 and error[0].startswith(f"error: {path} {message}")
 
+    @pytest.mark.parametrize("head", ["", "# header\n\n"], ids=["canonical", "comment-and-blank"])
+    @pytest.mark.parametrize("fault, origin, message", [
+        ("a; b 5\n", None, "vertex label 'a;' contains ';'"),
+        ("a b 1\n", 2, "contact time 1 precedes origin 2"),
+    ], ids=["label", "origin"])
+    def test_a_late_ingest_fault_is_searched_for_from_its_contact(
+            self, tmp_path, capsys, monkeypatch, head, fault, origin, message):
+        """Contact i sits on line i + 1 or later: no line before that one is parsed alone."""
+        lines = [head, *(f"v{i} w{i} {2 + i % 3}\n" for i in range(300)), fault]
+        path = tmp_path / "c.txt"
+        path.write_text("".join(lines))
+        lines = "".join(lines).splitlines(keepends=True)
+        alone = []
+
+        def spy(lines, strict=True):
+            if isinstance(lines, list):
+                alone.extend(lines)
+            return parse_contact_lines(lines, strict)
+
+        monkeypatch.setattr(cli, "parse_contact_lines", spy)
+        argv = [] if origin is None else ["--origin", origin]
+        assert run("decompose", "--input", path, *argv, "--out", tmp_path / "o") == 2
+        error = capsys.readouterr().err.splitlines()
+        assert len(error) == 1 and error[0].startswith(f"error: {path} line {len(lines)}: {message}")
+        assert alone == lines[300:]
+
     @pytest.mark.parametrize("content, message", [
         (b"0\n\xff\n", "'utf-8' codec can't decode byte 0xff in position 2: invalid start byte"),
         (b"0\n9\n", "positive timestamps [9] outside 0..0"),
@@ -750,7 +776,7 @@ class TestErrorsAndDeterminism:
         assert run("anomaly", "--input", contact_file, "--tr", 1, "--positives", positives,
                    "--out", tmp_path / "o") == 2
         error = capsys.readouterr().err.strip().splitlines()
-        assert error == [f"error: positive-timestamp file not found: {positives}"]
+        assert error == [f"error: {positives} {os.strerror(errno.ENOENT)}"]
 
     def test_unknown_attribute_exits_2_before_the_core_file_is_read(self, tmp_path, capsys):
         attrs = tmp_path / "attrs.csv"

@@ -332,10 +332,32 @@ class TestReferenceEquivalence:
                            st.integers(0, 30)), max_size=12),
         st.integers(0, 5),
         st.one_of(st.none(), st.integers(0, 12)),
+        st.integers(0, 30),
     )
-    def test_ingest_matches_reference(self, contacts, window, origin):
-        assert (_ingest_outcome(ingest_contacts, contacts, window, origin)
-                == _ingest_outcome(reference_ingest_contacts, contacts, window, origin))
+    def test_ingest_matches_reference(self, drawn, window, origin, loop_time):
+        """The same contacts ingest like the reference whichever form they arrive in.
+
+        A self-loop of a new label sits in the middle: its label and time count.
+        The text forms are read in one-line chunks, then whole, so canonical
+        chunks and line-parsed ones number labels and times in one run.
+        """
+        half = len(drawn) // 2
+        contacts = [*drawn[:half], ("s", "s", loop_time), *drawn[half:]]
+        reference = _ingest_outcome(reference_ingest_contacts, contacts, window, origin)
+        lines = [f"{u} {v} {t}\n" for u, v, t in contacts]
+        # A header, a skipped line whose labels must not count, and the
+        # self-loop as a comma line after them, in a later chunk.
+        mixed = "".join(["# header\n", *lines[:half], "z y\n", f"s, s, {loop_time}\n",
+                         *lines[half + 1:]])
+        assert _ingest_outcome(ingest_contacts, contacts, window, origin) == reference
+        for chunk_chars in (1, temporal_graph._CHUNK_CHARS):
+            with mock.patch.object(temporal_graph, "_CHUNK_CHARS", chunk_chars):
+                for form, skips in ((lines, 0), (io.StringIO("".join(lines)), 0),
+                                    (io.StringIO(mixed), 1)):
+                    parsed, skipped = parse_contact_lines(form, strict=False)
+                    assert skipped == skips
+                    assert (_ingest_outcome(ingest_contacts, parsed, window, origin)
+                            == reference)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(_contact_lines(), max_size=10), st.integers(1, 4),
