@@ -22,7 +22,7 @@ def stats_by_order(result: DecompositionResult) -> list[tuple[int, int, float]]:
     """Rows (order, count, mean member count), ascending by order."""
     sizes = defaultdict(list)
     for core in result.cores:
-        sizes[core.order].append(core.size)
+        sizes[core.order].append(len(core.members))
     return [(k, len(sizes[k]), sum(sizes[k]) / len(sizes[k])) for k in sorted(sizes)]
 
 
@@ -30,7 +30,7 @@ def stats_by_span(result: DecompositionResult) -> list[tuple[int, int, float]]:
     """Rows (interval width, count, mean member count), ascending by width."""
     sizes = defaultdict(list)
     for core in result.cores:
-        sizes[core.span.width].append(core.size)
+        sizes[core.span.width].append(len(core.members))
     return [(w, len(sizes[w]), sum(sizes[w]) / len(sizes[w])) for w in sorted(sizes)]
 
 
@@ -130,7 +130,7 @@ def purity_curve(result: DecompositionResult, attrs: AttributeTable,
                 categories[value] += 1
         if not categories:
             continue
-        purity = max(categories.values()) / core.size
+        purity = max(categories.values()) / len(core.members)
         for t in core.span.timestamps():
             per_timestamp[t].append(purity)
     curve = {t: sum(vals) / len(vals) for t, vals in sorted(per_timestamp.items())}

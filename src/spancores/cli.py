@@ -16,7 +16,6 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from itertools import islice
 from pathlib import Path
 
 from . import __version__
@@ -83,7 +82,8 @@ def _manifest(args: argparse.Namespace) -> str:
 def _check_out(path_text: str) -> None:
     """Raise ValueError unless `--out` is a directory or can be made one; a dangling link cannot."""
     path = Path(path_text)
-    existing = next(p for p in (path, *path.parents) if p.exists() or p.is_symlink())
+    with _named(path):
+        existing = next(p for p in (path, *path.parents) if p.exists() or p.is_symlink())
     if not existing.is_dir():
         raise ValueError(f"--out {path}: {existing} is not a directory")
 
@@ -107,39 +107,25 @@ def _open_input(path_text: str):
 
 
 def _load_graph(args: argparse.Namespace, positives: list[int] | None = None):
-    """Parse and ingest --input and check `positives` against it; return the graph and notes."""
+    """Parse and ingest --input and check `positives` against it; return the graph and notes.
+
+    An ingest error is led by the line of its contact, which the parse recorded.
+    """
     check_window(args.window)  # before the input is read
     with _open_input(args.input) as handle:
         contacts, skipped = parse_contact_lines(handle, strict=args.strict)
         try:
             graph = ingest_contacts(contacts, window=args.window, origin=args.origin)
         except ValueError as error:
-            if not contacts:  # "no contacts": no line alone raises it
+            if not contacts:  # "no contacts" names no line
                 raise
-            handle.seek(0)
-            raise ValueError(_with_line(error, handle, args)) from None
+            raise ValueError(f"line {contacts.line_of(error.contact)}: {error}") from None
     if positives is not None:
         with _named(args.positives):
             check_positive_timestamps(positives, graph.t_max)  # before the engine runs
     notes = [f"skipped {skipped} malformed contact line(s)"] if skipped else []
     notes.append(f"ingested {len(contacts)} contacts -> {graph!r}")
     return graph, notes
-
-
-def _with_line(error: ValueError, lines, args: argparse.Namespace) -> str:
-    """`error` led by the first line whose contact alone raises it; ingest names the first fault.
-
-    No line before line i + 1 holds contact i = `error.contact` or raises the same error.
-    """
-    skip = getattr(error, "contact", 0)
-    for number, line in enumerate(islice(lines, skip, None), start=skip + 1):
-        contacts = parse_contact_lines([line], strict=False)[0]
-        try:
-            ingest_contacts(contacts, window=args.window, origin=args.origin)
-        except ValueError as own:
-            if contacts and str(own) == str(error):
-                return f"line {number}: {error}"
-    return str(error)
 
 
 def _run_engine(engine, graph, bench: bool):

@@ -47,7 +47,7 @@ def cores_to_csv(result: DecompositionResult) -> str:
             field = fields[core.members] = _csv_field(
                 MEMBER_SEPARATOR.join(result.member_labels(core)))
         span = core.span
-        rows.append(f"{core.order},{span.start},{span.end},{core.size},{field}\n")
+        rows.append(f"{core.order},{span.start},{span.end},{len(core.members)},{field}\n")
     return "".join(rows)
 
 

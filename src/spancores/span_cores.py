@@ -18,7 +18,7 @@ from .temporal_graph import Edge, Interval, TemporalGraph, _edge_walk, edges_in_
 
 
 class SpanCore:
-    """One span-core: order, interval, member vertex ids, member count.
+    """One span-core: order, interval, member vertex ids.
 
     A core read back from a core file shares its `members` frozenset with
     every core of its result that lists the same members.
@@ -28,14 +28,12 @@ class SpanCore:
     # is a named tuple: a core-file read builds and reads thousands of both,
     # and as named tuples (CPython 3.11, 2-CPU Xeon) 20K constructions took
     # 6.0 ms instead of 4.0 ms (SpanCore) and 6.9 ms instead of 4.5 ms
-    # (Interval), and reading `size` as a property over 19.5K cores 1.5 ms
-    # instead of 0.22 ms.
-    __slots__ = ("order", "span", "size", "members")
+    # (Interval).
+    __slots__ = ("order", "span", "members")
 
     def __init__(self, order: int, span: Interval, members: frozenset[int]):
         self.order = order
         self.span = span
-        self.size = len(members)
         self.members = members
 
     def sort_key(self) -> tuple[int, int, int]:
@@ -177,7 +175,7 @@ def span_cores(g: TemporalGraph) -> DecompositionResult:
             # The parent's order-1 core holds the endpoints of its edges, which
             # are edges of the other parent too, so it is the candidate set.
             wider[t_s] = edges, parent
-            processed_vertices += parent[-1].size
+            processed_vertices += len(parent[-1].members)
             cores.extend([SpanCore(shell.order, span, shell.members) for shell in parent])
         level = wider
         width += 1

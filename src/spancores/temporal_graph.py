@@ -9,6 +9,7 @@ alongside so inputs and outputs can speak the caller's vocabulary.
 from __future__ import annotations
 
 import io
+from bisect import bisect_right
 from collections import defaultdict
 from collections.abc import Sequence
 from itertools import count
@@ -196,20 +197,26 @@ class ContactColumns:
     first appearance. `ends` interleaves the label indices of the endpoints
     (u0, v0, u1, v1, ...) and `time_ids` holds each contact's raw-time index,
     so contact i is (labels[ends[2i]], labels[ends[2i+1]], times[time_ids[i]]).
+    `gaps` holds the number of contacts before each line that holds none.
     parse_contact_lines returns this form; ingest_contacts reads it directly.
     """
 
-    __slots__ = ("labels", "times", "ends", "time_ids")
+    __slots__ = ("labels", "times", "ends", "time_ids", "gaps")
 
     def __init__(self, labels: list[str], times: list[int], ends: list[int],
-                 time_ids: list[int]):
+                 time_ids: list[int], gaps: list[int]):
         self.labels = labels
         self.times = times
         self.ends = ends
         self.time_ids = time_ids
+        self.gaps = gaps
 
     def __len__(self) -> int:
         return len(self.time_ids)
+
+    def line_of(self, i: int) -> int:
+        """The 1-based line that holds contact i."""
+        return i + 1 + bisect_right(self.gaps, i)
 
     def __iter__(self) -> Iterator[Contact]:
         ends = map(self.labels.__getitem__, self.ends)
@@ -231,7 +238,9 @@ def parse_contact_lines(lines: Iterable[str] | TextIO,
     line by line, as the lines ending at '\n' that a stream opened with the
     default newline handling yields, with line numbers counting every chunk.
     Each distinct label and raw time is numbered once, when a contact that
-    holds it is first accepted.
+    holds it is first accepted. Each blank, comment or skipped line is
+    recorded in `gaps`, so `line_of` gives every contact's line; a canonical
+    chunk records none, as each of its lines holds a contact.
     """
     columns = (defaultdict(count().__next__), defaultdict(count().__next__), [], [])
     label_ids, time_ids, ends, stamps = columns
@@ -239,15 +248,15 @@ def parse_contact_lines(lines: Iterable[str] | TextIO,
     numbered = _unsplit_lines(lines.read(), columns) if stream else enumerate(lines, start=1)
     add_ends = ends.extend
     add_time = stamps.append
+    gaps = []
     skipped = 0
     for line_number, raw in numbered:
         if "," in raw:
             parts = [p.strip() for p in raw.split(",")]
         else:
             parts = raw.split()  # also strips, and is empty for a blank line
-            if not parts:
-                continue
-        if parts[0].startswith("#"):
+        if not parts or parts[0].startswith("#"):
+            gaps.append(len(stamps))
             continue
         if len(parts) == 3:
             u, v, t = parts
@@ -269,7 +278,8 @@ def parse_contact_lines(lines: Iterable[str] | TextIO,
         if strict:
             raise ValueError(f"line {line_number}: {reason}: {raw.strip()!r}")
         skipped += 1
-    return ContactColumns(list(label_ids), list(time_ids), ends, stamps), skipped
+        gaps.append(len(stamps))
+    return ContactColumns(list(label_ids), list(time_ids), ends, stamps, gaps), skipped
 
 
 def _unsplit_lines(text: str, columns: tuple) -> Iterator[tuple[int, str]]:
@@ -353,7 +363,7 @@ def ingest_contacts(contacts: Iterable[Contact], window: int = 1,
         rows = [(label_ids[u], label_ids[v], time_ids[t]) for u, v, t in contacts]
         contacts = ContactColumns(list(label_ids), list(time_ids),
                                   [end for u, v, _ in rows for end in (u, v)],
-                                  [t for _, _, t in rows])
+                                  [t for _, _, t in rows], [])
     if not contacts:
         raise ValueError("no contacts")
     check_window(window)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
+from itertools import takewhile
 from typing import Iterable
 
 import pytest
@@ -27,8 +28,6 @@ from spancores import (
     TemporalGraph,
     TraceStep,
     core_decomposition,
-    edge_diff_sets,
-    edges_in_interval,
 )
 from spancores.span_cores import DecompositionResult, RunMetrics, SpanCore, _emit_cores
 from spancores.temporal_graph import Edge
@@ -425,7 +424,8 @@ def _reference_reshuffle_edges(edges, rng: random.Random) -> set:
 
 
 def _reference_order_one_core(g: TemporalGraph, interval: Interval) -> frozenset[int]:
-    labeling = core_decomposition(range(g.vertex_count), edges_in_interval(g, interval))
+    labeling = core_decomposition(range(g.vertex_count),
+                                  interval_edges(g, interval.start, interval.end))
     return frozenset(labeling.coreness)
 
 
@@ -505,7 +505,7 @@ def reference_contact_lines(g: TemporalGraph):
 
 
 # The pruned engine as it was when it ran a queue of intervals, each taking
-# its edges from edges_in_interval; the width-by-width engine must match it
+# its edges from interval_edges; the width-by-width engine must match it
 # core for core and count for count.
 
 @dataclass
@@ -560,7 +560,7 @@ def reference_span_cores(g: TemporalGraph) -> DecompositionResult:
             current_width = width
             frontier.purge_dead(width)
         candidates = frontier.candidates.pop((t_s, t_e))
-        edges = edges_in_interval(g, Interval(t_s, t_e))
+        edges = interval_edges(g, t_s, t_e)
         if len(candidates) < g.vertex_count:
             edges = frozenset(e for e in edges if e[0] in candidates and e[1] in candidates)
         if not edges:
@@ -646,10 +646,12 @@ def reference_maximal_span_cores(g: TemporalGraph,
     # non-empty timestamps, so only those need an entry.
     k_prime = dict.fromkeys(g.nonempty_times, 0)
     for t_s in g.nonempty_times:
-        t_star, removed, _ = edge_diff_sets(g, t_s)
-        edges = set(g.edges_at(t_s))
-        for dropped in removed:
-            edges -= dropped  # edges of [t_s, t_star]
+        # The edge sets of [t_s, t_e] for t_e = t_s .. t_star, the last end with edges.
+        spans = list(takewhile(bool, (interval_edges(g, t_s, t_e)
+                                      for t_e in range(t_s, g.t_max + 1))))
+        t_star = t_s + len(spans) - 1
+        removed = [span - longer for span, longer in zip(spans, spans[1:])]
+        edges = set(spans[-1])
         buckets = _DegreeBuckets(g.vertex_count)
         k_trim = 0  # innermost order seen for [t_s, t_e + 1]
         for t_e in range(t_star, t_s - 1, -1):

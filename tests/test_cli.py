@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -449,6 +450,14 @@ class TestErrorsAndDeterminism:
 
     def test_a_failed_out_creation_is_named_like_a_write_error(self, contact_file, tmp_path,
                                                                capsys, monkeypatch):
+        # A path too long to probe is named, and nothing is made.
+        out = tmp_path / ("a" * 300) / "x"
+        before = sorted(os.listdir(tmp_path))
+        assert run("decompose", "--input", contact_file, "--out", out) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {out} {os.strerror(errno.ENAMETOOLONG)}"]
+        assert sorted(os.listdir(tmp_path)) == before
+
         # Root ignores permission bits, so the refused mkdir is simulated.
         def refuse(self, *args, **kwargs):
             raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(self))
@@ -710,21 +719,29 @@ class TestErrorsAndDeterminism:
     ], ids=["label", "origin", "non-canonical-label", "first-time-before-origin", "bom"])
     def test_an_ingest_error_names_the_first_line_at_fault(self, tmp_path, capsys,
                                                            content, origin, message):
+        """A file and a FIFO, which cannot seek, holding the same bytes get the same message."""
         path = tmp_path / "c.txt"
         path.write_bytes(content)
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(content,), daemon=True)
+        writer.start()
         argv = [] if origin is None else ["--origin", origin]
-        assert run("decompose", "--input", path, *argv, "--out", tmp_path / "o") == 2
-        error = capsys.readouterr().err.splitlines()
-        assert len(error) == 1 and error[0].startswith(f"error: {path} {message}")
+        for source in (path, fifo):
+            assert run("decompose", "--input", source, *argv, "--out", tmp_path / "o") == 2
+            error = capsys.readouterr().err.splitlines()
+            assert len(error) == 1 and error[0].startswith(f"error: {source} {message}")
+        writer.join(timeout=5)
+        assert not writer.is_alive()
 
     @pytest.mark.parametrize("head", ["", "# header\n\n"], ids=["canonical", "comment-and-blank"])
     @pytest.mark.parametrize("fault, origin, message", [
         ("a; b 5\n", None, "vertex label 'a;' contains ';'"),
         ("a b 1\n", 2, "contact time 1 precedes origin 2"),
     ], ids=["label", "origin"])
-    def test_a_late_ingest_fault_is_searched_for_from_its_contact(
+    def test_a_late_ingest_fault_is_named_from_the_one_parse(
             self, tmp_path, capsys, monkeypatch, head, fault, origin, message):
-        """Contact i sits on line i + 1 or later: no line before that one is parsed alone."""
+        """The parse records the fault's line: no line is parsed a second time."""
         lines = [head, *(f"v{i} w{i} {2 + i % 3}\n" for i in range(300)), fault]
         path = tmp_path / "c.txt"
         path.write_text("".join(lines))
@@ -741,7 +758,7 @@ class TestErrorsAndDeterminism:
         assert run("decompose", "--input", path, *argv, "--out", tmp_path / "o") == 2
         error = capsys.readouterr().err.splitlines()
         assert len(error) == 1 and error[0].startswith(f"error: {path} line {len(lines)}: {message}")
-        assert alone == lines[300:]
+        assert alone == []
 
     @pytest.mark.parametrize("content, message", [
         (b"0\n\xff\n", "'utf-8' codec can't decode byte 0xff in position 2: invalid start byte"),

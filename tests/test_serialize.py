@@ -77,7 +77,7 @@ class TestCsv:
         rows = list(csv.reader(io.StringIO(cores_to_csv(result))))[1:]
         assert [(int(k), int(t_s), int(t_e), int(size), members.split(";"))
                 for k, t_s, t_e, size, members in rows] == [
-            (c.order, c.span.start, c.span.end, c.size, result.member_labels(c))
+            (c.order, c.span.start, c.span.end, len(c.members), result.member_labels(c))
             for c in result.cores]
 
     def test_empty_result_keeps_header(self, g_ex):
@@ -146,7 +146,7 @@ class TestReadBack:
         loaded = read_cores(io.StringIO(self.CSV), "csv")
         assert [c.members for c in loaded.cores] == [frozenset({0, 1, 2}), frozenset({3, 0})]
         assert loaded.labels == ("b", "c", "d", "a")
-        assert [c.size for c in loaded.cores] == [3, 2]
+        assert [len(c.members) for c in loaded.cores] == [3, 2]
 
     def test_cores_with_the_same_members_share_one_set(self):
         text = "k,t_s,t_e,size,members\n1,0,0,2,a;b\n1,0,1,2,a;b\n1,1,1,2,b;c\n"
@@ -235,7 +235,7 @@ def _csv_writer_reference(result) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["k", "t_s", "t_e", "size", "members"])
     for c in result.cores:
-        writer.writerow([c.order, c.span.start, c.span.end, c.size,
+        writer.writerow([c.order, c.span.start, c.span.end, len(c.members),
                          ";".join(result.member_labels(c))])
     return out.getvalue()
 

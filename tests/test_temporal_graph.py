@@ -294,6 +294,16 @@ def _parse_outcome(parse, lines, strict):
     return list(contacts), skipped
 
 
+def _contact_line_numbers(lines):
+    """The 1-based number of each line that holds a contact, by parsing every line alone."""
+    return [number for number, line in enumerate(lines, start=1)
+            if reference_parse_contact_lines([line], strict=False)[0]]
+
+
+def _lines_of(contacts):
+    return [contacts.line_of(i) for i in range(len(contacts))]
+
+
 def _ingest_outcome(ingest, contacts, window, origin):
     try:
         g = ingest(contacts, window=window, origin=origin)
@@ -324,6 +334,8 @@ class TestReferenceEquivalence:
     def test_parse_matches_reference(self, lines, strict):
         assert (_parse_outcome(parse_contact_lines, lines, strict)
                 == _parse_outcome(reference_parse_contact_lines, lines, strict))
+        contacts, _ = parse_contact_lines(lines, strict=False)
+        assert _lines_of(contacts) == _contact_line_numbers(lines)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -396,6 +408,7 @@ class TestReferenceEquivalence:
                 with spy, stream() as handle:
                     contacts, _ = parse_contact_lines(handle, strict=False)
             assert (bool(taken) and all(taken)) == canonical
+            assert _lines_of(contacts) == _contact_line_numbers(lines)
         # `contacts` is from the default chunk size, the last one above.
         for window in (1, 2, 3, 4):
             for origin in (None, 0, after_earliest):
@@ -416,6 +429,7 @@ class TestReferenceEquivalence:
         assert taken and all(taken) and skipped == 0
         assert len(contacts) == len(expected)
         assert list(contacts) == expected
+        assert _lines_of(contacts) == _contact_line_numbers(lines)
         _assert_ingests_like_reference(contacts, expected, window, origin)
 
 
