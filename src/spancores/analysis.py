@@ -15,7 +15,7 @@ from itertools import chain, groupby, islice
 from typing import Callable, Iterable, Mapping, NamedTuple, TextIO
 
 from .span_cores import DecompositionResult
-from .temporal_graph import Edge, Interval, TemporalGraph, _edge_walk
+from .temporal_graph import Edge, Interval, TemporalGraph, _edge_walk, check_min_span
 
 
 def stats_by_order(result: DecompositionResult) -> list[tuple[int, int, float]]:
@@ -45,12 +45,6 @@ def activity_grid(result: DecompositionResult, min_span: int = 1) -> dict[tuple[
         if core.order > grid.get(cell, 0):
             grid[cell] = core.order
     return grid
-
-
-def check_min_span(min_span: int) -> None:
-    """Raise ValueError unless min_span >= 1."""
-    if min_span < 1:
-        raise ValueError(f"min_span must be at least 1, got {min_span}")
 
 
 class AttributeTable:

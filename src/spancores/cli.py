@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import io
 import json
 import os
 import sys
@@ -23,7 +24,6 @@ from .analysis import (
     AttributeTable,
     activity_grid,
     check_anomaly_thresholds,
-    check_min_span,
     check_positive_timestamps,
     detect_anomalies,
     precision_recall,
@@ -42,7 +42,8 @@ from .serialize import (
     table_to_csv,
 )
 from .span_cores import naive_span_cores, span_cores
-from .temporal_graph import check_window, contact_lines, ingest_contacts, parse_contact_lines
+from .temporal_graph import (check_min_span, check_window, contact_lines, ingest_contacts,
+                             parse_contact_lines)
 
 DEFAULT_SEED = 0
 # Every input file is read with this codec, which drops a leading UTF-8
@@ -176,8 +177,13 @@ def cmd_cores(args):
 
 
 def _read_core_file(path_text: str):
-    fmt = "jsonl" if Path(path_text).suffix == ".jsonl" else "csv"
+    """Read a core file: `.jsonl` and `.csv` by name, any other by its first non-blank character."""
+    fmt = {".jsonl": "jsonl", ".csv": "csv"}.get(Path(path_text).suffix)
     with _open_input(path_text) as handle:
+        if fmt is None:  # a pipe, a FIFO or another name
+            text = handle.read()
+            fmt = "jsonl" if text.lstrip()[:1] == "{" else "csv"
+            handle = io.StringIO(text)
         return read_cores(handle, fmt)
 
 
@@ -233,7 +239,8 @@ def cmd_anomaly(args):
     check_anomaly_thresholds(args.tr, args.ratio)  # before the input is read
     positives = None if args.positives is None else _read_positives(args.positives)
     graph, notes = _load_graph(args, positives)
-    maximal = maximal_span_cores(graph)
+    # Only cores wider than tr are read, and their maximality depends on wider intervals alone.
+    maximal = maximal_span_cores(graph, min_span=args.tr + 1)
     report = detect_anomalies(graph, maximal, tr=args.tr, ratio=args.ratio)
     payload = {
         "tr": args.tr,

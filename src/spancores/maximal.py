@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .core_kernel import innermost_core
 from .span_cores import DecompositionResult, SpanCore, _result, span_cores
-from .temporal_graph import Interval, TemporalGraph, edge_diff_sets
+from .temporal_graph import Interval, TemporalGraph, check_min_span, edge_diff_sets
 
 
 class TraceStep(NamedTuple):
@@ -37,7 +37,8 @@ class MaximalTrace:
 
     The one record an engine fills in. final_k_prime maps each non-empty
     timestamp to the lower bound k' the engine held for it when the run
-    ended.
+    ended. Under min_span it holds the bounds of the visited ends: a
+    timestamp that no visited interval ends at keeps 0.
     """
 
     def __init__(self):
@@ -67,7 +68,8 @@ def naive_maximal_span_cores(g: TemporalGraph) -> DecompositionResult:
     return _result(g, cores, full.metrics.processed_vertices)
 
 
-def maximal_span_cores(g: TemporalGraph, trace: MaximalTrace | None = None) -> DecompositionResult:
+def maximal_span_cores(g: TemporalGraph, trace: MaximalTrace | None = None, *,
+                       min_span: int = 1) -> DecompositionResult:
     """Direct engine: visit intervals widest-first within each start time.
 
     For a fixed start, interval edge sets are replayed from the
@@ -79,7 +81,11 @@ def maximal_span_cores(g: TemporalGraph, trace: MaximalTrace | None = None) -> D
     fewer trimmed from the end); only vertices whose degree beats the bound
     can matter, so they are the candidates the kernel peels, and the
     interval is skipped as non-maximal unless it strictly beats the bound.
+
+    Both bounds come from wider intervals, so min_span can stop each walk
+    short: the cores and trace steps are a full run's of width >= min_span.
     """
+    check_min_span(min_span)
     processed_vertices = 0
     cores: list[SpanCore] = []
     # k_prime[t] carries the innermost order of [previous start, t] across
@@ -96,7 +102,7 @@ def maximal_span_cores(g: TemporalGraph, trace: MaximalTrace | None = None) -> D
         t_star, removed, arriving = edge_diff_sets(g, t_s)
         touched: list[int] = []  # vertices of degree >= 1, in order of arrival
         k_trim = 0  # innermost order seen for [t_s, t_e + 1]
-        for t_e in range(t_star, t_s - 1, -1):
+        for t_e in range(t_star, t_s + min_span - 2, -1):
             if t_e != t_star:
                 arriving = removed[t_e - t_s]
             for u, v in arriving:

@@ -52,14 +52,15 @@ class SpanCore:
 
 
 class RunMetrics(NamedTuple):
-    """Cost accounting for one engine run, a function of its graph alone.
+    """Cost accounting for one engine run, a function of its arguments alone.
 
     processed_vertices is the cost model the engines compete on. The naive
     engine charges |V| for every interval it decomposes. The pruned engine
     charges |V| for a single-timestamp interval, since any vertex may be in
     its order-1 core, and the candidates of every wider interval it visits,
     whether it decomposes it or reuses a parent's cores. The direct maximal
-    engine charges the candidates of every interval. cores_emitted is the
+    engine charges the candidates of every interval it visits, so under
+    min_span none of a narrower interval. cores_emitted is the
     number of cores in the result. Run time is not an engine's to measure:
     the CLI times the whole engine call.
     """

@@ -393,6 +393,12 @@ def check_window(window: int) -> None:
         raise ValueError(f"window must be a positive integer, got {window}")
 
 
+def check_min_span(min_span: int) -> None:
+    """Raise ValueError unless min_span >= 1."""
+    if min_span < 1:
+        raise ValueError(f"min_span must be at least 1, got {min_span}")
+
+
 def _origin(contacts: ContactColumns, origin: int | None) -> int:
     """`origin`, or the earliest raw time if it is None.
 
@@ -473,9 +479,12 @@ def contact_lines(g: TemporalGraph) -> Iterator[str]:
     ingest_contacts(window=1, origin=0) reproduces the graph, up to empty
     timestamps after the last contact.
     """
+    labels = g.labels
     for t in g.nonempty_times:
-        pairs = sorted(
-            tuple(sorted((g.label_of(u), g.label_of(v)))) for u, v in g.edges_at(t)
-        )
+        pairs = []
+        for u, v in g.edges_at(t):
+            a, b = labels[u], labels[v]
+            pairs.append((a, b) if a < b else (b, a))
+        pairs.sort()
         for a, b in pairs:
             yield f"{a} {b} {t}"

@@ -15,9 +15,9 @@ from pathlib import Path
 import pytest
 
 import spancores
-from spancores import (AttributeTable, TemporalGraph, activity_grid, cli, contact_lines,
-                       ingest_contacts, parse_contact_lines, purity_curve, span_cores,
-                       stats_by_order, stats_by_span)
+from spancores import (AttributeTable, MaximalTrace, TemporalGraph, activity_grid, cli,
+                       contact_lines, ingest_contacts, parse_contact_lines, purity_curve,
+                       span_cores, stats_by_order, stats_by_span)
 from spancores.cli import main
 from spancores.serialize import table_to_csv
 from .conftest import (canonical_dump, community_temporal_graph, planted_clique_graph,
@@ -256,6 +256,29 @@ class TestStatsGridPurity:
         assert run("grid", "--cores", core_file, "--min-span", 2, "--out", out) == 0
         assert (out / "grid.csv").read_text() == "t_s,span,k\n0,2,2\n0,3,1\n1,2,1\n"
 
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    @pytest.mark.parametrize("command", ["stats", "grid"])
+    def test_a_core_file_reads_alike_through_a_fifo_and_under_any_name(
+            self, contact_file, tmp_path, command, fmt):
+        """A name other than .jsonl or .csv is read by its first non-blank character."""
+        assert run("maximal", "--input", contact_file, "--format", fmt, "--out", tmp_path) == 0
+        content = (tmp_path / f"maximal.{fmt}").read_bytes()
+        renamed = tmp_path / "maximal.txt"
+        renamed.write_bytes(b"\n  " + content if fmt == "jsonl" else content)
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(content,), daemon=True)
+        writer.start()
+        outputs = []
+        for source in (tmp_path / f"maximal.{fmt}", renamed, fifo):
+            out = tmp_path / f"out-{source.name}"
+            assert run(command, "--cores", source, "--out", out) == 0
+            outputs.append({path.name: path.read_bytes() for path in out.iterdir()
+                            if path.name != "run-manifest.json"})
+        writer.join(timeout=5)
+        assert not writer.is_alive()
+        assert outputs[0] and outputs[0] == outputs[1] == outputs[2]
+
     def test_purity(self, contact_file, tmp_path):
         maximal_out = tmp_path / "maximal-out"
         assert run("maximal", "--input", contact_file, "--origin", 0,
@@ -382,6 +405,51 @@ class TestAnomaly:
                    "--tr", 5, "--ratio", 1.5, "--out", out) == 0
         report = json.loads((out / "anomaly-report.json").read_text())
         assert report["dropped_timestamps"] == [2, 5, 7]
+
+    @pytest.fixture
+    def sliding_clique_file(self, tmp_path):
+        """At timestamp t an 8-clique on vertices t..t+7: every width 1..7 holds maximal cores."""
+        size, timestamps = 8, 20
+        graph = TemporalGraph([f"v{u}" for u in range(timestamps + size - 1)],
+                              [{(u, v) for u in range(t, t + size) for v in range(u + 1, t + size)}
+                               for t in range(timestamps)])
+        path = tmp_path / "sliding.txt"
+        path.write_text("".join(line + "\n" for line in contact_lines(graph)))
+        return path
+
+    def test_the_engine_visits_no_interval_of_width_tr_or_less(self, sliding_clique_file,
+                                                                tmp_path, monkeypatch):
+        engine, widths = cli.maximal_span_cores, []
+
+        def spy(graph, **kwargs):
+            trace = MaximalTrace()
+            result = engine(graph, trace=trace, **kwargs)
+            widths.extend(step.t_e - step.t_s + 1 for step in trace.steps)
+            return result
+
+        monkeypatch.setattr(cli, "maximal_span_cores", spy)
+        assert run("anomaly", "--input", sliding_clique_file, "--tr", 2,
+                   "--out", tmp_path / "out") == 0
+        assert widths and min(widths) == 3
+
+    @pytest.mark.parametrize("tr", [1, 2, 5])
+    def test_artifacts_match_the_full_engine(self, sliding_clique_file, tmp_path, monkeypatch,
+                                             tr):
+        """The report and cleaned contacts are those detect_anomalies gives from a full run."""
+        engine = cli.maximal_span_cores
+
+        def full_run(graph, **kwargs):
+            return engine(graph)
+
+        outputs = []
+        for name, spy in (("full", full_run), ("restricted", engine)):
+            monkeypatch.setattr(cli, "maximal_span_cores", spy)
+            out = tmp_path / name
+            assert run("anomaly", "--input", sliding_clique_file, "--tr", tr, "--out", out) == 0
+            outputs.append([(out / artifact).read_bytes()
+                            for artifact in ("anomaly-report.json", "cleaned-contacts.txt")])
+        assert json.loads(outputs[0][0])["anomalous_intervals"]
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("ratio", ["nan", "inf", "0"])
     def test_ratio_that_is_not_positive_and_finite_exits_2(self, planted_file, tmp_path,

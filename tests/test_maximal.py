@@ -217,6 +217,30 @@ class TestEngineProperties:
         assert maximal_span_cores(g).cores == maximal_span_cores(g).cores
 
 
+class TestMinSpan:
+    @settings(max_examples=100, deadline=None)
+    @given(gappy_temporal_graphs() | sticky_temporal_graphs()
+           | st.integers(0, 2 ** 32).map(lambda seed: random_temporal_graph(random.Random(seed))))
+    def test_a_run_from_min_span_is_the_full_run_cut_at_that_width(self, g):
+        """The cores and trace steps are exactly the full run's of width >= min_span."""
+        full_trace = MaximalTrace()
+        full = maximal_span_cores(g, trace=full_trace)
+        oracle = oracle_maximal(oracle_span_cores(g))
+        for min_span in range(1, g.t_max + 3):
+            trace = MaximalTrace()
+            result = maximal_span_cores(g, trace=trace, min_span=min_span)
+            assert result.cores == tuple(c for c in full.cores if c.span.width >= min_span)
+            assert as_triples(result) == {
+                (k, (s, e), members) for k, (s, e), members in oracle if e - s + 1 >= min_span}
+            assert trace.steps == [step for step in full_trace.steps
+                                   if step.t_e - step.t_s + 1 >= min_span]
+
+    @pytest.mark.parametrize("min_span", [0, -1])
+    def test_min_span_below_one_is_rejected(self, g_ex, min_span):
+        with pytest.raises(ValueError, match=f"min_span must be at least 1, got {min_span}"):
+            maximal_span_cores(g_ex, min_span=min_span)
+
+
 class TestEdgeCases:
     def test_all_empty_graph(self):
         g = TemporalGraph(["a", "b"], [set(), set()])

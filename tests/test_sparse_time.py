@@ -133,3 +133,10 @@ def test_anomaly_pass_and_null_model_match_reference_at_benchmark_scale(tmp_path
 @given(gappy_temporal_graphs())
 def test_contact_lines_match_reference(g):
     assert list(contact_lines(g)) == list(reference_contact_lines(g))
+
+
+def test_contact_lines_order_labels_that_run_against_vertex_ids():
+    """Vertex 0 carries the last label, so each pair's labels come swapped."""
+    g = TemporalGraph(["c", "b", "a"], [{(0, 1), (1, 2)}, set(), {(0, 2)}])
+    assert list(contact_lines(g)) == list(reference_contact_lines(g)) == [
+        "a b 0", "b c 0", "a c 2"]

@@ -466,6 +466,20 @@ def test_contact_lines_read_back_to_the_same_graph(odd, picks, window, origin):
     assert canonical_dump(ingest_contacts(parsed, window=1, origin=0)) == canonical_dump(g)
 
 
+class TestEdgeWalk:
+    @settings(max_examples=100, deadline=None)
+    @given(WALK_GRAPHS)
+    def test_yields_each_non_empty_interval_of_a_start_in_order(self, g):
+        for t_s in range(g.t_max + 1):
+            expected = []
+            for t_e in range(t_s, g.t_max + 1):
+                edges = interval_edges(g, t_s, t_e)
+                if not edges:
+                    break
+                expected.append((t_e, edges))
+            assert list(temporal_graph._edge_walk(g, t_s)) == expected
+
+
 class TestIntervalEdges:
     def test_fixture_values(self, g_ex):
         assert edges_in_interval(g_ex, Interval(0, 1)) == frozenset({(0, 1), (1, 2), (0, 2)})
