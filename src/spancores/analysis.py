@@ -11,7 +11,7 @@ import csv
 import math
 import random
 from collections import Counter, defaultdict
-from itertools import chain, groupby, islice
+from itertools import chain, combinations, groupby, islice
 from typing import Callable, Iterable, Mapping, NamedTuple, TextIO
 
 from .span_cores import DecompositionResult
@@ -142,9 +142,11 @@ def reshuffle_timestamps(g: TemporalGraph, seed: int = 0) -> TemporalGraph:
     edge are rejected. Processed edges leave the pending pool, and after
     10 * |E_t| draws whatever is still pending stays as-is. Every vertex
     keeps its exact degree at every timestamp. Timestamp t draws from
-    random.Random(seed * _SEED_MIX + t), built at the first draw from a pool
-    of three or more edges: a pool of two crosses alike whichever way it is
-    drawn, so it takes one attempt and no draw.
+    random.Random(seed * _SEED_MIX + t), built only for a pool of three or
+    more edges: a pool of two crosses alike whichever way it is drawn, so it
+    takes one attempt and no draw. After len(pool) draws without a swap, a
+    pool with no more pairs than draws left tests each pair once and stops
+    if none can swap, as no later draw could.
     """
     shuffled = {t: _reshuffle_edges(g.edges_at(t), seed * _SEED_MIX + t)
                 for t in g.nonempty_times}
@@ -155,13 +157,16 @@ def _reshuffle_edges(edges: frozenset[Edge], seed: int) -> frozenset[Edge]:
     current = set(edges)
     pool = sorted(edges)  # deterministic draw order
     budget = 10 * len(pool)
-    getrandbits = None
+    getrandbits = random.Random(seed).getrandbits if len(pool) > 2 else None
+    check_at = budget - len(pool) - 1  # the budget left once len(pool) draws missed in a row
     while len(pool) >= 2 and budget > 0:
         budget -= 1
         if len(pool) == 2:  # (0, 1) and (1, 0) cross alike: swap now or never
             i, j, budget = 0, 1, 0
+        elif (budget == check_at and len(pool) * (len(pool) - 1) // 2 <= budget
+              and not _can_swap(pool, current)):
+            break  # found in fewer pair tests than the draws it skips
         else:
-            getrandbits = getrandbits or random.Random(seed).getrandbits
             i, j = _draw_pair(getrandbits, len(pool))
         u, v = pool[i]
         w, z = pool[j]
@@ -173,8 +178,19 @@ def _reshuffle_edges(edges: frozenset[Edge], seed: int) -> frozenset[Edge]:
             continue
         current.difference_update((pool[i], pool[j]))
         current.update((first, second))
-        del pool[max(i, j)], pool[min(i, j)]
+        if i < j:  # delete the later index first
+            i, j = j, i
+        del pool[i], pool[j]
+        check_at = budget - len(pool) - 1
     return frozenset(current)
+
+
+def _can_swap(pool: list[Edge], current: set[Edge]) -> bool:
+    """Whether some pair of `pool` passes both tests of `_reshuffle_edges`."""
+    return any(u not in (w, z) and v not in (w, z)
+               and ((u, z) if u < z else (z, u)) not in current
+               and ((w, v) if w < v else (v, w)) not in current
+               for (u, v), (w, z) in combinations(pool, 2))
 
 
 def _draw_pair(getrandbits: Callable[[int], int], n: int) -> tuple[int, int]:

@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Every subcommand checks its parameters and side inputs before its main input,
-then returns its artifacts (file name -> text, in write order) and its stderr
+`main` builds the arguments of the subcommand that argv starts with, or of all
+seven when argv starts with no command name (--help, --version). Every
+subcommand checks its parameters and side inputs before its main input, then
+returns its artifacts (file name -> text, in write order) and its stderr
 notes. `main` alone writes: it removes an earlier run's manifest, writes the
 artifacts atomically into --out, then a run-manifest.json with the configuration
 that repeats the run exactly, then the notes. All randomness flows from --seed.
@@ -46,6 +48,7 @@ from .temporal_graph import (check_min_span, check_window, contact_lines, ingest
                              parse_contact_lines)
 
 DEFAULT_SEED = 0
+_COMMANDS = ("decompose", "maximal", "stats", "grid", "purity", "shuffle", "anomaly")
 # Every input file is read with this codec, which drops a leading UTF-8
 # byte-order mark instead of making it part of the first label or field.
 # Artifacts are written as plain UTF-8.
@@ -92,12 +95,13 @@ def _check_out(path_text: str) -> None:
 @contextmanager
 def _named(path: str | Path):
     """Lead with `path` each ValueError's text and each OSError's strerror raised in the block."""
+    name = str(path) or "''"  # an empty path is named too
     try:
         yield
     except ValueError as error:
-        raise ValueError(f"{path} {error}") from None
+        raise ValueError(f"{name} {error}") from None
     except OSError as error:
-        raise OSError(f"{path} {error.strerror or error}") from None
+        raise OSError(f"{name} {error.strerror or error}") from None
 
 
 @contextmanager
@@ -287,66 +291,72 @@ def _add_engine_flags(parser: argparse.ArgumentParser, engines: list[str], defau
     parser.set_defaults(func=cmd_cores)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The full parser, or that of `command` alone; its usage still names all of `_COMMANDS`,
+    so on an argv that starts with `command` it prints what the full parser prints."""
     parser = argparse.ArgumentParser(
         prog="spancores",
         description="Span-core decomposition and analysis of temporal graphs.",
     )
     parser.add_argument("--version", action="version", version=f"spancores {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    p = sub.add_parser("decompose", help="compute the full span-core decomposition")
-    _add_ingest_flags(p)
-    _add_output_flags(p)
-    _add_engine_flags(p, ["naive", "pruned"], "pruned")
-
-    p = sub.add_parser("maximal", help="compute only the maximal span-cores")
-    _add_ingest_flags(p)
-    _add_output_flags(p)
-    _add_engine_flags(p, ["filter", "direct"], "direct")
-
-    p = sub.add_parser("stats", help="summary tables for a core file")
-    p.add_argument("--cores", required=True, help="core file from decompose/maximal")
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_stats)
-
-    p = sub.add_parser("grid", help="highest order per (start, span) cell")
-    p.add_argument("--cores", required=True, help="core file from decompose/maximal")
-    p.add_argument("--min-span", type=int, default=1, help="drop cells narrower than this")
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_grid)
-
-    p = sub.add_parser("purity", help="attribute purity of cores over time")
-    p.add_argument("--cores", required=True, help="core file, typically maximal cores")
-    p.add_argument("--attributes", required=True, help="CSV 'label,attr1,...'")
-    p.add_argument("--attribute", required=True, help="attribute column to score")
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_purity)
-
-    p = sub.add_parser("shuffle", help="degree-preserving reshuffle of each timestamp")
-    _add_ingest_flags(p)
-    _add_output_flags(p)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                   help=f"RNG seed (default {DEFAULT_SEED})")
-    p.set_defaults(func=cmd_shuffle)
-
-    p = sub.add_parser("anomaly", help="detect and strip long-lived core activity")
-    _add_ingest_flags(p)
-    _add_output_flags(p)
-    p.add_argument("--tr", type=int, required=True,
-                   help="flag maximal cores spanning more than this many timestamps")
-    p.add_argument("--ratio", type=float, default=None,
-                   help="also drop timestamps with original/filtered contacts above this "
-                        "positive, finite ratio")
-    p.add_argument("--positives", default=None,
-                   help="file of known-anomalous timestamps, one per line")
-    p.set_defaults(func=cmd_anomaly)
+    if command in (None, "decompose"):
+        p = sub.add_parser("decompose", help="compute the full span-core decomposition")
+        _add_ingest_flags(p)
+        _add_output_flags(p)
+        _add_engine_flags(p, ["naive", "pruned"], "pruned")
+    if command in (None, "maximal"):
+        p = sub.add_parser("maximal", help="compute only the maximal span-cores")
+        _add_ingest_flags(p)
+        _add_output_flags(p)
+        _add_engine_flags(p, ["filter", "direct"], "direct")
+    if command in (None, "stats"):
+        p = sub.add_parser("stats", help="summary tables for a core file")
+        p.add_argument("--cores", required=True, help="core file from decompose/maximal")
+        _add_output_flags(p)
+        p.set_defaults(func=cmd_stats)
+    if command in (None, "grid"):
+        p = sub.add_parser("grid", help="highest order per (start, span) cell")
+        p.add_argument("--cores", required=True, help="core file from decompose/maximal")
+        p.add_argument("--min-span", type=int, default=1, help="drop cells narrower than this")
+        _add_output_flags(p)
+        p.set_defaults(func=cmd_grid)
+    if command in (None, "purity"):
+        p = sub.add_parser("purity", help="attribute purity of cores over time")
+        p.add_argument("--cores", required=True, help="core file, typically maximal cores")
+        p.add_argument("--attributes", required=True, help="CSV 'label,attr1,...'")
+        p.add_argument("--attribute", required=True, help="attribute column to score")
+        _add_output_flags(p)
+        p.set_defaults(func=cmd_purity)
+    if command in (None, "shuffle"):
+        p = sub.add_parser("shuffle", help="degree-preserving reshuffle of each timestamp")
+        _add_ingest_flags(p)
+        _add_output_flags(p)
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                       help=f"RNG seed (default {DEFAULT_SEED})")
+        p.set_defaults(func=cmd_shuffle)
+    if command in (None, "anomaly"):
+        p = sub.add_parser("anomaly", help="detect and strip long-lived core activity")
+        _add_ingest_flags(p)
+        _add_output_flags(p)
+        p.add_argument("--tr", type=int, required=True,
+                       help="flag maximal cores spanning more than this many timestamps")
+        p.add_argument("--ratio", type=float, default=None,
+                       help="also drop timestamps with original/filtered contacts above this "
+                            "positive, finite ratio")
+        p.add_argument("--positives", default=None,
+                       help="file of known-anomalous timestamps, one per line")
+        p.set_defaults(func=cmd_anomaly)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     # The cyclic collector is paused for the command, then left as the caller had
     # it. The data path makes no reference cycles; a command's own cyclic garbage
     # is a fixed few hundred argparse and json objects, so memory cannot grow with input.

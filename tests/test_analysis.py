@@ -269,6 +269,66 @@ class TestReshuffle:
                     assert _draw_pair(fast.getrandbits, n) == tuple(slow.sample(range(n), 2))
                 assert fast.getstate() == slow.getstate()
 
+    @staticmethod
+    def _clique(vertices) -> set:
+        return {(u, v) for u in vertices for v in vertices if u < v}
+
+    def test_pools_that_stop_early_match_the_reference(self):
+        # A clique can never swap; two disjoint edges beside it can, and a star never can.
+        pools = [self._clique(range(6)), self._clique(range(6)) | {(6, 7), (8, 9)},
+                 {(min(6, v), max(6, v)) for v in range(13) if v != 6}]
+        rng = random.Random(35)
+        pairs = [(u, v) for u in range(12) for v in range(u + 1, 12)]
+        for _ in range(40):
+            vertices = rng.randint(4, 12)
+            within = [(u, v) for u, v in pairs if v < vertices]
+            pools.append(set(rng.sample(within, rng.randint(3, min(24, len(within))))))
+        g = TemporalGraph([f"v{i}" for i in range(13)], pools)
+        for seed in range(6):
+            assert canonical_dump(reshuffle_timestamps(g, seed=seed)) == \
+                canonical_dump(reference_reshuffle_timestamps(g, seed=seed))
+
+    @staticmethod
+    def _draws(monkeypatch) -> list[int]:
+        """The pool size of every draw `reshuffle_timestamps` makes from here on."""
+        calls = []
+
+        def spy(getrandbits, n):
+            calls.append(n)
+            return _draw_pair(getrandbits, n)
+
+        monkeypatch.setattr(analysis, "_draw_pair", spy)
+        return calls
+
+    @pytest.mark.parametrize("edges, draws", [
+        # 15 misses, then 105 pair tests instead of 135 more draws
+        ({(u, v) for u in range(6) for v in range(u + 1, 6)}, 15),
+        # every pair shares the centre, whose id lies between the leaves'
+        ({(min(6, v), max(6, v)) for v in range(13) if v != 6}, 12),
+        # a path: its two disjoint edges would cross into its middle one
+        ({(0, 1), (1, 2), (2, 3)}, 3),
+        # 749,700 pairs exceed the budget: every draw is made
+        ({(u, v) for u in range(50) for v in range(u + 1, 50)}, 12_250),
+    ], ids=["6-clique", "star", "path", "50-clique"])
+    def test_a_pool_that_cannot_swap_stops_once_its_pairs_are_cheaper(
+            self, monkeypatch, edges, draws):
+        calls = self._draws(monkeypatch)
+        g = TemporalGraph([f"v{i}" for i in range(50)], [edges])
+        assert reshuffle_timestamps(g, seed=3).edges_at(0) == g.edges_at(0)
+        assert len(calls) == draws
+
+    def test_a_pool_stops_as_many_draws_after_its_last_swap_as_it_holds(self, monkeypatch):
+        # The two edges beside the clique swap, and the clique's edges are left.
+        edges = self._clique(range(6)) | {(6, 7), (8, 9)}
+        g = TemporalGraph([f"v{i}" for i in range(10)], [edges])
+        for seed in range(8):
+            calls = self._draws(monkeypatch)
+            reshuffle_timestamps(g, seed=seed)
+            left = calls[-1]
+            assert left < len(edges)
+            assert calls[-left - 1:] == [calls[-left - 1]] + [left] * left
+            assert calls[-left - 1] > left
+
 
 class TestDetectAnomalies:
     def test_planted_clique_is_flagged_and_stripped(self):

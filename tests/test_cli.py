@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import csv
 import errno
 import gc
@@ -754,6 +755,18 @@ class TestErrorsAndDeterminism:
             f"error: {adir} {os.strerror(errno.EISDIR)}"]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("option", ["--input", "--cores", "--attributes", "--positives"])
+    def test_an_empty_path_is_named_as_quotes(self, contact_file, tmp_path, capsys, option):
+        argv = {"--input": ["decompose", "--input", ""],
+                "--cores": ["stats", "--cores", ""],
+                "--attributes": ["purity", "--cores", contact_file, "--attributes", "",
+                                 "--attribute", "d"],
+                "--positives": ["anomaly", "--input", contact_file, "--tr", 1,
+                                "--positives", ""]}[option]
+        assert run(*argv, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: '' {os.strerror(errno.ENOENT)}"]
+
     def test_a_file_without_contacts_is_not_reread_line_by_line(self, tmp_path, capsys,
                                                                 monkeypatch):
         path = tmp_path / "c.txt"
@@ -1100,6 +1113,51 @@ class TestErrorsAndDeterminism:
         )
         assert proc.returncode == 0
         assert "spancores" in proc.stdout
+
+
+class TestParser:
+    """`main` builds one subcommand's parser when argv starts with its name, and
+    prints and exits exactly as the full parser does."""
+
+    @staticmethod
+    def _outcome(parse, argv, capsys):
+        with pytest.raises(SystemExit) as stopped:
+            parse(argv)
+        printed = capsys.readouterr()
+        return stopped.value.code, printed.out, printed.err
+
+    def test_the_command_names_are_the_full_parsers(self):
+        sub, = (action for action in cli.build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
+        assert tuple(sub.choices) == cli._COMMANDS
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["-h"], ["--version"],
+        *([command, "--help"] for command in cli._COMMANDS),
+        [], ["bogus"], ["--bogus", "decompose"], ["stats"],
+        ["decompose", "--input", "c.txt", "--bogus"],
+        ["grid", "--cores", "c.csv", "extra"],
+        ["maximal", "--input", "c.txt", "--engine", "pruned"],
+        ["shuffle", "--input", "c.txt", "--window", "two"],
+    ], ids=lambda argv: " ".join(argv) or "no-argv")
+    def test_every_message_is_the_full_parsers(self, argv, capsys, monkeypatch):
+        built, build = [], cli.build_parser
+
+        def spy(command=None):
+            built.append(command)
+            return build(command)
+
+        expected = self._outcome(build().parse_args, argv, capsys)
+        monkeypatch.setattr(cli, "build_parser", spy)
+        assert self._outcome(main, argv, capsys) == expected
+        assert built == [argv[0] if argv and argv[0] in cli._COMMANDS else None]
+
+    @pytest.mark.parametrize("command", cli._COMMANDS)
+    def test_one_commands_arguments_are_the_full_parsers(self, command, contact_file,
+                                                         tmp_path):
+        argv = [str(a) for a in command_argv(command, contact_file, tmp_path)]
+        assert vars(cli.build_parser(command).parse_args(argv)) == \
+            vars(cli.build_parser().parse_args(argv))
 
 
 def test_canonical_dump_of_surviving_graph_matches_cleaned_file(tmp_path):
