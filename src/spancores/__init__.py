@@ -27,12 +27,9 @@ from .span_cores import (
     span_cores,
 )
 from .temporal_graph import (
-    EdgeDiffSets,
     Interval,
     TemporalGraph,
     contact_lines,
-    edge_diff_sets,
-    edges_in_interval,
     ingest_contacts,
     parse_contact_lines,
 )
@@ -44,7 +41,6 @@ __all__ = [
     "AttributeTable",
     "CoreLabeling",
     "DecompositionResult",
-    "EdgeDiffSets",
     "Interval",
     "MaximalTrace",
     "PurityCurve",
@@ -56,8 +52,6 @@ __all__ = [
     "contact_lines",
     "core_decomposition",
     "detect_anomalies",
-    "edge_diff_sets",
-    "edges_in_interval",
     "ingest_contacts",
     "innermost_core",
     "maximal_span_cores",

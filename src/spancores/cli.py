@@ -12,6 +12,7 @@ that repeats the run exactly, then the notes. All randomness flows from --seed.
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import io
 import json
@@ -84,7 +85,10 @@ def _manifest(args: argparse.Namespace) -> str:
 
 
 def _check_out(path_text: str) -> None:
-    """Raise ValueError unless `--out` is a directory or can be made one; a dangling link cannot."""
+    """Raise unless `--out` is a directory or can be made one; '' and a dangling link cannot."""
+    if not path_text:  # Path('') is the current directory
+        with _named(path_text):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT))
     path = Path(path_text)
     with _named(path):
         existing = next(p for p in (path, *path.parents) if p.exists() or p.is_symlink())

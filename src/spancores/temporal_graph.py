@@ -13,7 +13,7 @@ from bisect import bisect_right
 from collections import defaultdict
 from collections.abc import Sequence
 from itertools import count
-from typing import Iterable, Iterator, NamedTuple, TextIO
+from typing import Iterable, Iterator, TextIO
 
 Edge = tuple[int, int]
 Contact = tuple[str, str, int]
@@ -80,21 +80,6 @@ class Interval:
 
     def __str__(self) -> str:
         return f"[{self.start},{self.end}]"
-
-
-class EdgeDiffSets(NamedTuple):
-    """Difference encoding of the interval edge sets anchored at one start time.
-
-    ``surviving`` is the edge set of [start, t_star], the widest interval
-    from `start` with edges. ``removed[i]`` holds the edges alive in every
-    timestamp of [start, start+i] but absent at start+i+1, for i in
-    0..t_star-start-1. The edge set of [start, t_e] is recovered by unioning
-    ``removed[j]`` for j >= t_e-start onto ``surviving``.
-    """
-
-    t_star: int
-    removed: tuple[frozenset[Edge], ...]
-    surviving: frozenset[Edge]
 
 
 class TemporalGraph:
@@ -445,7 +430,7 @@ def _edge_walk(g: TemporalGraph, start: int) -> Iterator[tuple[int, frozenset[Ed
 
 
 def edges_in_interval(g: TemporalGraph, interval: Interval) -> frozenset[Edge]:
-    """Edges present at every timestamp of the interval."""
+    """Edges present at every timestamp of the interval; an internal of the pruned engine."""
     if interval.end > g.t_max:
         raise ValueError(f"interval {interval} exceeds t_max={g.t_max}")
     for t_e, edges in _edge_walk(g, interval.start):
@@ -454,14 +439,16 @@ def edges_in_interval(g: TemporalGraph, interval: Interval) -> frozenset[Edge]:
     return _NO_EDGES
 
 
-def edge_diff_sets(g: TemporalGraph, start: int) -> EdgeDiffSets | None:
-    """Difference sets for all intervals starting at `start`, or None.
+def edge_diff_sets(g: TemporalGraph,
+                   start: int) -> tuple[int, list[frozenset[Edge]], frozenset[Edge]] | None:
+    """The edge sets of the intervals from `start` as (t_star, removed, surviving), or None.
 
-    Returns None when no edge survives even the singleton interval, i.e.
-    E_start is empty and no non-empty interval begins here. Otherwise t_star
-    is the last timestamp for which [start, t_star] still has surviving
-    edges. Total storage is bounded by |E_start|: the diff sets and the
-    surviving set partition it.
+    None means E_start is empty. `t_star` is the last end for which
+    [start, t_star] has edges, and `surviving` is that edge set. `removed[i]`
+    holds the edges of [start, start+i] absent at start+i+1, so unioning
+    `removed[j]` for j >= t_e-start onto `surviving` gives the edges of
+    [start, t_e]. The diff sets and `surviving` partition E_start. An
+    internal of the direct maximal engine.
     """
     removed: list[frozenset[Edge]] = []
     running = None
@@ -469,7 +456,7 @@ def edge_diff_sets(g: TemporalGraph, start: int) -> EdgeDiffSets | None:
         if running is not None:
             removed.append(running - kept)
         running = kept
-    return None if running is None else EdgeDiffSets(t_star, tuple(removed), running)
+    return None if running is None else (t_star, removed, running)
 
 
 def contact_lines(g: TemporalGraph) -> Iterator[str]:

@@ -22,7 +22,6 @@ from spancores import (
     MaximalTrace,
     contact_lines,
     detect_anomalies,
-    edges_in_interval,
     maximal_span_cores,
     naive_maximal_span_cores,
     naive_span_cores,
@@ -37,6 +36,7 @@ from .conftest import (
     contains,
     dominates,
     innermost_of,
+    interval_edges,
     oracle_maximal,
     oracle_span_cores,
     planted_clique_graph,
@@ -170,7 +170,7 @@ def test_criterion_5_maximal_antichain_and_innermost(corpus, criterion):
                     assert not dominates(a, b) and not dominates(b, a)
             for core in cores:
                 order, members = innermost_of(
-                    range(g.vertex_count), edges_in_interval(g, core.span))
+                    range(g.vertex_count), interval_edges(g, core.span.start, core.span.end))
                 assert (order, members) == (core.order, core.members)
 
 

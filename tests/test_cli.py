@@ -755,17 +755,25 @@ class TestErrorsAndDeterminism:
             f"error: {adir} {os.strerror(errno.EISDIR)}"]
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("option", ["--input", "--cores", "--attributes", "--positives"])
-    def test_an_empty_path_is_named_as_quotes(self, contact_file, tmp_path, capsys, option):
+    @pytest.mark.parametrize("option", ["--input", "--cores", "--attributes", "--positives",
+                                        "--out", "stats --out"])
+    def test_an_empty_path_is_named_as_quotes(self, contact_file, tmp_path, capsys, monkeypatch,
+                                              option):
         argv = {"--input": ["decompose", "--input", ""],
                 "--cores": ["stats", "--cores", ""],
                 "--attributes": ["purity", "--cores", contact_file, "--attributes", "",
                                  "--attribute", "d"],
                 "--positives": ["anomaly", "--input", contact_file, "--tr", 1,
-                                "--positives", ""]}[option]
-        assert run(*argv, "--out", tmp_path / "o") == 2
+                                "--positives", ""],
+                "--out": ["decompose", "--input", contact_file],
+                "stats --out": ["stats", "--cores", contact_file]}[option]
+        out = "" if option.endswith("--out") else tmp_path / "o"
+        monkeypatch.chdir(tmp_path)  # Path('') is the current directory: nothing may land here
+        before = sorted(tmp_path.iterdir())
+        assert run(*argv, "--out", out) == 2
         assert capsys.readouterr().err.splitlines() == [
             f"error: '' {os.strerror(errno.ENOENT)}"]
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_a_file_without_contacts_is_not_reread_line_by_line(self, tmp_path, capsys,
                                                                 monkeypatch):

@@ -14,7 +14,6 @@ from spancores import (
     SpanCore,
     TemporalGraph,
     contact_lines,
-    edges_in_interval,
     ingest_contacts,
     maximal_span_cores,
     naive_maximal_span_cores,
@@ -30,6 +29,7 @@ from .conftest import (
     dominates,
     gappy_temporal_graphs,
     innermost_of,
+    interval_edges,
     oracle_maximal,
     oracle_span_cores,
     random_temporal_graph,
@@ -156,7 +156,7 @@ class TestEngineProperties:
             g = random_temporal_graph(rng, max_vertices=12, max_timestamps=6)
             for core in maximal_span_cores(g).cores:
                 order, members = innermost_of(
-                    range(g.vertex_count), edges_in_interval(g, core.span))
+                    range(g.vertex_count), interval_edges(g, core.span.start, core.span.end))
                 assert (order, members) == (core.order, core.members)
 
     def test_no_interval_processed_before_a_superinterval(self):
@@ -207,7 +207,7 @@ class TestEngineProperties:
         assert len(cores) > 5
         assert any(
             step.lower_bound > 0 and 0 < step.candidate_count < len(
-                {u for edge in edges_in_interval(g, Interval(step.t_s, step.t_e))
+                {u for edge in interval_edges(g, step.t_s, step.t_e)
                  for u in edge})
             for step in steps)
 

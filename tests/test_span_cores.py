@@ -48,7 +48,9 @@ class TestFixture:
     def test_the_readme_quick_start_runs(self, capsys):
         """The README's library example, on the g_ex contacts, runs against the current API."""
         readme = Path(__file__).resolve().parents[1] / "README.md"
-        section = readme.read_text(encoding="utf-8").split("## Library quick start\n", 1)[1]
+        text = readme.read_text(encoding="utf-8")
+        assert text.count("```python\n") == 1
+        section = text.split("## Library quick start\n", 1)[1]
         code = section.split("```python\n", 1)[1].split("```", 1)[0]
         exec(compile(code, str(readme), "exec"), {})
         lines = capsys.readouterr().out.splitlines()

@@ -9,16 +9,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import spancores
 from spancores import (
     Interval,
     TemporalGraph,
     contact_lines,
-    edge_diff_sets,
-    edges_in_interval,
     ingest_contacts,
     parse_contact_lines,
 )
 from spancores import temporal_graph
+from spancores.temporal_graph import edge_diff_sets, edges_in_interval
 from .conftest import (
     canonical_dump,
     contains,
@@ -480,6 +480,20 @@ class TestEdgeWalk:
             assert list(temporal_graph._edge_walk(g, t_s)) == expected
 
 
+class TestPublicSurface:
+    def test_every_exported_name_resolves(self):
+        namespace = {}
+        exec("from spancores import *", namespace)
+        for name in spancores.__all__:
+            assert namespace[name] is getattr(spancores, name)
+
+    def test_interval_edge_sets_are_engine_internals(self):
+        for name in ("EdgeDiffSets", "edge_diff_sets", "edges_in_interval"):
+            assert name not in spancores.__all__
+            assert not hasattr(spancores, name)
+        assert not hasattr(temporal_graph, "EdgeDiffSets")
+
+
 class TestIntervalEdges:
     def test_fixture_values(self, g_ex):
         assert edges_in_interval(g_ex, Interval(0, 1)) == frozenset({(0, 1), (1, 2), (0, 2)})
@@ -505,10 +519,10 @@ class TestIntervalEdges:
 
 class TestEdgeDiffSets:
     def test_fixture_values(self, g_ex):
-        diff = edge_diff_sets(g_ex, 0)
-        assert diff.t_star == 2
-        assert diff.removed == (frozenset({(2, 3)}), frozenset({(1, 2), (0, 2)}))
-        assert diff.surviving == frozenset({(0, 1)})
+        t_star, removed, surviving = edge_diff_sets(g_ex, 0)
+        assert t_star == 2
+        assert removed == [frozenset({(2, 3)}), frozenset({(1, 2), (0, 2)})]
+        assert surviving == frozenset({(0, 1)})
 
     def test_empty_start_signals_none(self):
         g = TemporalGraph(["a", "b"], [set(), {(0, 1)}])
@@ -526,7 +540,7 @@ class TestEdgeDiffSets:
             assert len(removed) == t_star - t_s
             # storage bound: the diff sets and the surviving set partition E_start
             assert sum(len(r) for r in removed) + len(surviving) == len(g.edges_at(t_s))
-            assert surviving == edges_in_interval(g, Interval(t_s, t_star))
+            assert surviving == interval_edges(g, t_s, t_star)
             edges = set(g.edges_at(t_s))
             for chunk in removed:
                 edges -= chunk
