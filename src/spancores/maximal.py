@@ -83,7 +83,8 @@ def maximal_span_cores(g: TemporalGraph, trace: MaximalTrace | None = None, *,
     interval is skipped as non-maximal unless it strictly beats the bound.
 
     Both bounds come from wider intervals, so min_span can stop each walk
-    short: the cores and trace steps are a full run's of width >= min_span.
+    short, and skip a start unless its first min_span timestamps all have
+    edges: the cores and trace steps are a full run's of width >= min_span.
     """
     check_min_span(min_span)
     processed_vertices = 0
@@ -91,14 +92,17 @@ def maximal_span_cores(g: TemporalGraph, trace: MaximalTrace | None = None, *,
     # k_prime[t] carries the innermost order of [previous start, t] across
     # start times; it is never reset. Intervals with edges cover only
     # non-empty timestamps, so only those need an entry.
-    k_prime = dict.fromkeys(g.nonempty_times, 0)
+    times = g.nonempty_times
+    k_prime = dict.fromkeys(times, 0)
     # Neighbour lists in the current start's replay, a vertex's degree being
     # the length of its list; only the touched vertices' lists are non-empty,
     # and they are emptied again before the next start. `work` is the
     # kernel's scratch list, all zeros between calls.
     adjacency: list[list[int]] = [[] for _ in range(g.vertex_count)]
     work = [0] * g.vertex_count
-    for t_s in g.nonempty_times:
+    for i, t_s in enumerate(times):
+        if i + min_span > len(times) or times[i + min_span - 1] != t_s + min_span - 1:
+            continue  # [t_s, t_s + min_span - 1] covers an empty timestamp
         t_star, removed, arriving = edge_diff_sets(g, t_s)
         touched: list[int] = []  # vertices of degree >= 1, in order of arrival
         k_trim = 0  # innermost order seen for [t_s, t_e + 1]

@@ -121,7 +121,7 @@ def naive_span_cores(g: TemporalGraph) -> DecompositionResult:
 
 
 def span_cores(g: TemporalGraph) -> DecompositionResult:
-    """Pruned engine: grow intervals width by width, shrinking candidates.
+    """Pruned engine: walk start times latest first, shrinking candidates.
 
     Any member of a span-core over D must sit in the order-1 core of both
     intervals obtained by trimming one endpoint of D, and any edge of D is an
@@ -138,32 +138,29 @@ def span_cores(g: TemporalGraph) -> DecompositionResult:
     are re-emitted, sharing the parent's member sets, and the kernel is not
     called. Every visited interval is charged its candidates either way.
 
-    A level maps the start of each interval of the current width that
-    yielded cores to (kernel edges, emitted cores); the last of those cores
-    is the interval's order-1 core. Only non-empty timestamps seed the first
-    level, so no visited interval covers an empty timestamp.
+    A start's row holds (kernel edges, emitted cores) for [s, s], [s, s+1],
+    ... while they yield cores, the order-1 core last. [s, e] reads its left
+    parent from the end of its own row and its right parent from the row of
+    s+1, the one other row kept. Only non-empty timestamps start a row, so
+    no visited interval covers an empty timestamp.
     """
     processed_vertices = 0
     cores: list[SpanCore] = []
-    level: dict[int, tuple[frozenset[Edge], list[SpanCore]]] = {}
-    for t in g.nonempty_times:
-        span = Interval(t, t)
+    row: list[tuple[frozenset[Edge], list[SpanCore]]] = []
+    previous = None  # the start whose row `row` is
+    for t_s in reversed(g.nonempty_times):
+        right_row = row if previous == t_s + 1 else []
+        span = Interval(t_s, t_s)
         edges = edges_in_interval(g, span)
-        level[t] = edges, _emit_cores(range(g.vertex_count), edges, span, cores)
+        row = [(edges, _emit_cores(range(g.vertex_count), edges, span, cores))]
         processed_vertices += g.vertex_count
-
-    width = 1
-    while level:
-        wider = {}
-        for t_s, left in level.items():
-            right = level.get(t_s + 1)
-            if right is None:
-                continue
-            (left_edges, left_cores), (right_edges, right_cores) = left, right
+        # right_row[i] is [t_s+1, t_s+1+i], whose left parent [t_s, t_s+i] ends the row.
+        for right_edges, right_cores in right_row:
+            left_edges, left_cores = row[-1]
             edges = left_edges & right_edges
             if not edges:
-                continue
-            span = Interval(t_s, t_s + width)
+                break
+            span = Interval(t_s, t_s + len(row))
             if len(edges) == len(left_edges):
                 parent = left_cores
             elif len(edges) == len(right_edges):
@@ -171,13 +168,12 @@ def span_cores(g: TemporalGraph) -> DecompositionResult:
             else:
                 candidates = left_cores[-1].members & right_cores[-1].members
                 processed_vertices += len(candidates)
-                wider[t_s] = edges, _emit_cores(candidates, edges, span, cores)
+                row.append((edges, _emit_cores(candidates, edges, span, cores)))
                 continue
             # The parent's order-1 core holds the endpoints of its edges, which
             # are edges of the other parent too, so it is the candidate set.
-            wider[t_s] = edges, parent
+            row.append((edges, parent))
             processed_vertices += len(parent[-1].members)
             cores.extend([SpanCore(shell.order, span, shell.members) for shell in parent])
-        level = wider
-        width += 1
+        previous = t_s
     return _result(g, cores, processed_vertices)

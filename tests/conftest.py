@@ -505,8 +505,8 @@ def reference_contact_lines(g: TemporalGraph):
 
 
 # The pruned engine as it was when it ran a queue of intervals, each taking
-# its edges from interval_edges; the width-by-width engine must match it
-# core for core and count for count.
+# its edges from interval_edges; the engine that walks one start at a time
+# must match it core for core and count for count.
 
 @dataclass
 class _Frontier:

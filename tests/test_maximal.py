@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import random
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from spancores import (
     span_cores,
 )
 from spancores.serialize import cores_to_csv, cores_to_jsonl
+from spancores.temporal_graph import edge_diff_sets
 from .conftest import (
     as_triples,
     community_temporal_graph,
@@ -234,6 +236,28 @@ class TestMinSpan:
                 (k, (s, e), members) for k, (s, e), members in oracle if e - s + 1 >= min_span}
             assert trace.steps == [step for step in full_trace.steps
                                    if step.t_e - step.t_s + 1 >= min_span]
+
+    @settings(max_examples=100, deadline=None)
+    @given(gappy_temporal_graphs() | sticky_temporal_graphs())
+    def test_only_starts_that_can_reach_min_span_are_walked(self, g):
+        """A start is walked, its diff sets built, only when its first
+        min_span timestamps all have edges; the others cannot hold a core
+        that wide."""
+        walked = []
+
+        def counted(graph, start):
+            walked.append(start)
+            return edge_diff_sets(graph, start)
+
+        nonempty = set(g.nonempty_times)
+        with pytest.MonkeyPatch.context() as patch:
+            # The package's `maximal_span_cores` attribute is the engine, not the module.
+            patch.setattr(importlib.import_module("spancores.maximal"), "edge_diff_sets", counted)
+            for min_span in range(1, g.t_max + 3):
+                walked.clear()
+                maximal_span_cores(g, min_span=min_span)
+                assert walked == [t for t in g.nonempty_times
+                                  if all(t + d in nonempty for d in range(min_span))]
 
     @pytest.mark.parametrize("min_span", [0, -1])
     def test_min_span_below_one_is_rejected(self, g_ex, min_span):
